@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +200,33 @@ def test_sweep_periodic_not_applicable_region(capsys, tmp_path):
             assert tag == "NotApplicable"
         else:
             assert tag in ("GloballyStable", "AbsorbingBox")
+
+
+# `sweep --mode periodic` over the README plane at 10x10, captured from the
+# row-parallel implementation: 32 GloballyStable, 10 AbsorbingBox and 58
+# NotApplicable cells, 18 of them solved by the unstable-cycle scan.
+GOLDEN_PERIODIC = Path(__file__).parent / "data" / "sweep_periodic_r1_10x10.csv"
+
+
+def _six_fields_and_note(line):
+    """The six value fields as written, and the note read as the remainder,
+    quoted or not."""
+    parts = line.split(",", 6)
+    return parts[:6], ",".join(next(csv.reader([parts[6]])))
+
+
+def test_sweep_periodic_matches_golden(capsys, tmp_path):
+    out_path = tmp_path / "p.csv"
+    code, _, _ = run(capsys, "sweep", "--mode", "periodic", "--r", "1",
+                     "--h0-lo", "0.3", "--h0-hi", "3", "--nh0", "10",
+                     "--h1-lo", "0.3", "--h1-hi", "3", "--nh1", "10",
+                     "--art-grid", "128", "--out", str(out_path))
+    assert code == 0
+    got = out_path.read_text().splitlines()
+    want = GOLDEN_PERIODIC.read_text().splitlines()
+    assert got[0] == want[0] and len(got) == len(want) == 101
+    for got_row, want_row in zip(got[1:], want[1:]):
+        assert _six_fields_and_note(got_row) == _six_fields_and_note(want_row)
 
 
 def test_sweep_rejects_bad_grid(capsys):
