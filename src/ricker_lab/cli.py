@@ -3,17 +3,14 @@
 Exit codes: 0 on success, 2 on usage or parameter validation failure, 3 on
 numeric failure.  A simple key=value config file can pre-set any option
 (--config); explicit flags win.  CSV output uses 17 significant digits so a
-parse/re-serialize round trip is byte identical.  Sweep cells are evaluated
-by a parallel map whose worker count is capped by RICKER_LAB_THREADS; rows
-are written in grid order regardless of scheduling.
+parse/re-serialize round trip is byte identical.  Sweep rows are written in
+grid order.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,7 +24,7 @@ from .constant import (
 from .errors import RickerLabError
 from .model import ModelParams
 from .orbits import neimark_sacker_scan, simulate
-from .periodic import certify_periodic, find_artificial_cycles, solve_two_cycle
+from .periodic import _certify_periodic, find_artificial_cycles, solve_two_cycle
 from .verdicts import VerdictTag
 
 
@@ -164,8 +161,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         payload = {"mode": "constant", "r": params.r, "h": params.h_const}
         payload["y_bar"] = solve_equilibrium(params).y_bar
     else:
-        verdict = certify_periodic(params, grid=args.grid)
         report = solve_two_cycle(params)
+        verdict = _certify_periodic(params, report, args.grid)
         payload = {
             "mode": "periodic", "r": params.r,
             "h0": params.stocking[0], "h1": params.stocking[1],
@@ -188,13 +185,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
         bits.append(f"provenance: {verdict.provenance}")
         print(" ".join(bits))
     return 0
-
-
-def _threads() -> int:
-    cap = os.environ.get("RICKER_LAB_THREADS")
-    if cap is not None:
-        return max(1, int(cap))
-    return min(8, os.cpu_count() or 1)
 
 
 _SWEEP_HEADER_CONSTANT = "h,r,verdict,y_bar,r1,r2,notes"
@@ -228,9 +218,9 @@ def _sweep_periodic_cell(r: float, h0: float, h1: float, art_grid: int) -> str:
     params = ModelParams(r=r, stocking=(h0, h1))
     report = solve_two_cycle(params)
     if min(h0, h1) < r:
-        tag, note = VerdictTag.NOT_APPLICABLE, "min(h0,h1) < r"
+        tag, note = VerdictTag.NOT_APPLICABLE, '"min(h0,h1) < r"'
     else:
-        verdict = certify_periodic(params, grid=art_grid)
+        verdict = _certify_periodic(params, report, art_grid)
         tag, note = verdict.tag, f"art-grid={art_grid}"
     return (
         f"{_fmt(h0)},{_fmt(h1)},{_fmt(r)},{tag.value},"
@@ -258,16 +248,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError("sweep grid must have positive ranges and counts")
         h_vals = np.linspace(args.h_lo, args.h_hi, args.nh)
         r_vals = np.linspace(args.r_lo, args.r_hi, args.nr)
-        results: list[list[str] | None] = [None] * len(h_vals)
-
-        def work(i: int) -> None:
-            results[i] = _sweep_constant_row(float(h_vals[i]), r_vals)
-
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            list(pool.map(work, range(len(h_vals))))
         lines = [_SWEEP_HEADER_CONSTANT]
-        for rows in results:
-            lines.extend(rows)  # type: ignore[arg-type]
+        for h in h_vals:
+            lines.extend(_sweep_constant_row(float(h), r_vals))
         _emit(lines, args.out)
         curves_path = args.curves
         if curves_path is None and args.out not in (None, "-"):
@@ -291,20 +274,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("sweep grid must have positive ranges and counts")
     h0_vals = np.linspace(args.h0_lo, args.h0_hi, args.nh0)
     h1_vals = np.linspace(args.h1_lo, args.h1_hi, args.nh1)
-    rows: list[list[str] | None] = [None] * len(h0_vals)
-
-    def work_row(i: int) -> None:
-        h0 = float(h0_vals[i])
-        rows[i] = [
-            _sweep_periodic_cell(args.r, h0, float(h1), args.art_grid)
-            for h1 in h1_vals
-        ]
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        list(pool.map(work_row, range(len(h0_vals))))
     lines = [_SWEEP_HEADER_PERIODIC]
-    for chunk in rows:
-        lines.extend(chunk)  # type: ignore[arg-type]
+    for h0 in h0_vals:
+        lines.extend(
+            _sweep_periodic_cell(args.r, float(h0), float(h1), args.art_grid)
+            for h1 in h1_vals
+        )
     _emit(lines, args.out)
     return 0
 

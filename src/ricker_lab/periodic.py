@@ -114,44 +114,57 @@ def _newton_polish_cycle(z0: float, z1: float, r: float, h0: float, h1: float, i
     return z0, z1
 
 
+def _reduced_z1(z0: float, r: float, h1: float) -> float:
+    """z1 = (z0 - h1) e^{z0 - r}, from the first cycle equation."""
+    s = math.log(z0 - h1) + z0 - r
+    return math.exp(s) if s < 690.0 else math.inf
+
+
+def _reduced_residual(z0: float, r: float, h0: float, h1: float, y_max: float) -> float:
+    """The second cycle equation at (z0, z1(z0)); 1e18 where z1 overflows or
+    leaves ten times the trapping bound."""
+    z1 = _reduced_z1(z0, r, h1)
+    if not math.isfinite(z1) or z1 > 10.0 * y_max:
+        return 1e18
+    return z1 - h0 - z0 * math.exp(r - z1)
+
+
+def _reduced_residual_grid(z0: np.ndarray, r: float, h0: float, h1: float, y_max: float) -> np.ndarray:
+    """`_reduced_residual` at every point of z0, as one array expression."""
+    s = np.log(z0 - h1) + z0 - r
+    z1 = np.exp(np.where(s < 690.0, s, np.inf))
+    inside = np.isfinite(z1) & (z1 <= 10.0 * y_max)
+    return np.where(inside, z1 - h0 - z0 * np.exp(r - z1), 1e18)
+
+
 def _scan_cycle_roots(r: float, h0: float, h1: float, n_grid: int = 4096) -> list[tuple[float, float]]:
     """All 2-cycle solutions via the scalar reduction z1 = (z0 - h1) e^{z0 - r}.
 
     Substituting the first cycle equation into the second leaves one equation
     in z0 on (h1, inf); every sign change is bisected and Newton-polished in
-    the full 2D system.
+    the full 2D system.  The grid is evaluated as arrays, whose exp and log
+    may differ from `math` in the last bit; only its signs are used, and the
+    bisection runs on the scalar residual.
     """
     x_max, y_max = _orbit_bounds(r, h0, h1)
-
-    def z1_of(z0: float) -> float:
-        s = math.log(z0 - h1) + z0 - r
-        return math.exp(s) if s < 690.0 else math.inf
-
-    def phi(z0: float) -> float:
-        z1 = z1_of(z0)
-        if not math.isfinite(z1) or z1 > 10.0 * y_max:
-            return 1e18
-        return z1 - h0 - z0 * math.exp(r - z1)
-
     hi_cap = min(x_max, max(h1 + 2.0, r + math.log(y_max + 1.0) + 2.0))
     grid = h1 + np.geomspace(1e-9, hi_cap - h1, n_grid)
-    vals = np.array([phi(t) for t in grid])
-    sign = np.sign(vals)
+    sign = np.sign(_reduced_residual_grid(grid, r, h0, h1, y_max))
     roots: list[tuple[float, float]] = []
     for i in np.where(np.diff(sign) != 0)[0]:
         lo, hi = float(grid[i]), float(grid[i + 1])
-        flo = phi(lo)
+        flo = _reduced_residual(lo, r, h0, h1, y_max)
         if not math.isfinite(flo):
             continue
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            fm = phi(mid)
+            fm = _reduced_residual(mid, r, h0, h1, y_max)
             if flo * fm <= 0.0:
                 hi = mid
             else:
                 lo, flo = mid, fm
         z0 = 0.5 * (lo + hi)
-        z0, z1 = _newton_polish_cycle(z0, z1_of(z0), r, h0, h1)
+        z0, z1 = _newton_polish_cycle(z0, _reduced_z1(z0, r, h1), r, h0, h1)
         q1, q2 = _cycle_residuals(z0, z1, r, h0, h1)
         if max(abs(q1), abs(q2)) < _RESIDUAL_TOL and z0 > h1 and z1 > h0:
             if not any(abs(z0 - a) < 1e-6 and abs(z1 - b) < 1e-6 for a, b in roots):
@@ -204,7 +217,9 @@ def solve_two_cycle(params: ModelParams) -> TwoCycleReport:
 
     z0, z1 = pair
     q1, q2 = _cycle_residuals(z0, z1, r, h0, h1)
-    if (h0 - h1) * (z1 - z0) <= 0.0:
+    # a zero product is rounding: with both residuals under _RESIDUAL_TOL,
+    # z0 == z1 forces |h0 - h1| below twice that, as for h0, h1 an ulp apart
+    if (h0 - h1) * (z1 - z0) < 0.0:
         raise NonConvergence(
             f"solved pair ({z0}, {z1}) violates the stocking/phase ordering law"
         )
@@ -304,6 +319,15 @@ def _artificial_residuals(X, Y, r: float, h0: float, h1: float):
 
 
 def _newton_polish_artificial(x: float, y: float, r: float, h0: float, h1: float, iters: int = 80):
+    def residuals(x: float, y: float) -> tuple[float, float]:
+        # the loop top's expressions; a line-search step can overflow exp
+        try:
+            P = x * math.exp(r - y) + h0
+            Q = y * math.exp(r - x) + h1
+            return P * math.exp(r - Q) - x + h1, Q * math.exp(r - P) - y + h0
+        except OverflowError:
+            return math.inf, math.inf
+
     for _ in range(iters):
         a1 = math.exp(r - y)
         a2 = math.exp(r - x)
@@ -329,7 +353,7 @@ def _newton_polish_artificial(x: float, y: float, r: float, h0: float, h1: float
         improved = False
         while step > 1e-8:
             nx, ny = x - step * dx, y - step * dy
-            q1, q2 = _artificial_residuals(np.float64(nx), np.float64(ny), r, h0, h1)
+            q1, q2 = residuals(nx, ny)
             if abs(q1) + abs(q2) < base:
                 x, y = nx, ny
                 improved = True
@@ -337,10 +361,10 @@ def _newton_polish_artificial(x: float, y: float, r: float, h0: float, h1: float
             step *= 0.5
         if not improved:
             return None
-    r1, r2 = _artificial_residuals(np.float64(x), np.float64(y), r, h0, h1)
+    r1, r2 = residuals(x, y)
     if abs(r1) + abs(r2) > 1e-11:
         return None
-    return float(x), float(y)
+    return x, y
 
 
 def find_artificial_cycles(params: ModelParams, grid: int = 1024) -> ArtificialCycleSet:
@@ -352,12 +376,16 @@ def find_artificial_cycles(params: ModelParams, grid: int = 1024) -> ArtificialC
     2-cycle.  An empty set is a valid outcome and is what global-stability
     certification requires.
     """
+    return _find_artificial_cycles(params, solve_two_cycle(params), grid)
+
+
+def _find_artificial_cycles(params: ModelParams, cycle: TwoCycleReport, grid: int) -> ArtificialCycleSet:
+    """`find_artificial_cycles` given the solved 2-cycle of params."""
     r, h0, h1 = _require_two_periodic(params)
     x_max, y_max = _orbit_bounds(r, h0, h1)
     xs = h1 + np.geomspace(1e-9, x_max - h1, grid)
     ys = h0 + np.geomspace(1e-9, y_max - h0, grid)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    R1, R2 = _artificial_residuals(X, Y, r, h0, h1)
+    R1, R2 = _artificial_residuals(xs[:, None], ys[None, :], r, h0, h1)
     s1 = np.signbit(R1)
     s2 = np.signbit(R2)
 
@@ -369,8 +397,6 @@ def find_artificial_cycles(params: ModelParams, grid: int = 1024) -> ArtificialC
 
     cells = np.argwhere(mixed(s1) & mixed(s2))
     seeds = [(float(xs[i]), float(ys[j])) for i, j in cells]
-
-    cycle = solve_two_cycle(params)
     seeds.append((cycle.z0, cycle.z1))
 
     roots: list[tuple[float, float]] = []
@@ -479,17 +505,20 @@ def certify_periodic(params: ModelParams, grid: int = 1024) -> ClassificationVer
     artificial cycles exist; NotApplicable when min(h0, h1) < r.  The Jury
     verdict of the 2-cycle is carried alongside either way.
     """
+    return _certify_periodic(params, solve_two_cycle(params), grid)
+
+
+def _certify_periodic(params: ModelParams, report: TwoCycleReport, grid: int) -> ClassificationVerdict:
+    """`certify_periodic` given the solved 2-cycle of params."""
     r, h0, h1 = _require_two_periodic(params)
     if min(h0, h1) < r:
-        report = solve_two_cycle(params)
         return ClassificationVerdict(
             tag=VerdictTag.NOT_APPLICABLE,
             provenance=_PROV_NA2,
             note="certification unavailable; Jury verdict of the 2-cycle attached",
             local=report.local_verdict,
         )
-    report = solve_two_cycle(params)
-    art = find_artificial_cycles(params, grid=grid)
+    art = _find_artificial_cycles(params, report, grid)
     boundary = min(h0, h1) == r
     witness = None
     if not boundary:

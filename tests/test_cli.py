@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ricker_lab import ModelParams, certify_constant, thresholds
+from ricker_lab import ModelParams, certify_constant, cli, periodic, thresholds
 from ricker_lab.cli import main
 
 
@@ -151,18 +151,73 @@ def test_sweep_round_trip_and_curves(capsys, tmp_path):
     assert r1 == ts.r1 and r2 == ts.r2 and rdiag == h
 
 
-def test_sweep_deterministic_across_thread_counts(capsys, tmp_path, monkeypatch):
-    outputs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("RICKER_LAB_THREADS", threads)
-        path = tmp_path / f"cells_{threads}.csv"
-        code, _, _ = run(capsys, "sweep", "--mode", "constant",
-                         "--h-lo", "0.5", "--h-hi", "8", "--nh", "16",
-                         "--r-lo", "0.3", "--r-hi", "5", "--nr", "16",
-                         "--out", str(path))
-        assert code == 0
-        outputs.append(path.read_bytes())
-    assert outputs[0] == outputs[1]
+def test_sweep_periodic_round_trip(capsys, tmp_path):
+    out_path = tmp_path / "p.csv"
+    code, _, _ = run(capsys, "sweep", "--mode", "periodic", "--r", "1",
+                     "--h0-lo", "0.3", "--h0-hi", "3", "--nh0", "3",
+                     "--h1-lo", "0.3", "--h1-hi", "3", "--nh1", "3",
+                     "--out", str(out_path))
+    assert code == 0
+    text = out_path.read_text()
+    parsed = list(csv.reader(io.StringIO(text)))
+    assert {len(row) for row in parsed} == {7}
+    assert "min(h0,h1) < r" in {row[6] for row in parsed}
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(parsed)
+    assert buf.getvalue() == text
+
+
+def test_periodic_cells_solve_their_two_cycle_once(capsys, monkeypatch):
+    solved = []
+    solve = periodic.solve_two_cycle
+
+    def counting_solve(params):
+        solved.append(params.stocking)
+        return solve(params)
+
+    monkeypatch.setattr(periodic, "solve_two_cycle", counting_solve)
+    monkeypatch.setattr(cli, "solve_two_cycle", counting_solve)
+    code, _, _ = run(capsys, "sweep", "--mode", "periodic", "--r", "1",
+                     "--h0-lo", "0.3", "--h0-hi", "3", "--nh0", "4",
+                     "--h1-lo", "0.3", "--h1-hi", "3", "--nh1", "4",
+                     "--art-grid", "64")
+    assert code == 0
+    # the 4 diagonal cells are degenerate and solve no 2-cycle
+    assert len(solved) == len(set(solved)) == 12
+    solved.clear()
+    code, _, _ = run(capsys, "certify", "--r", "1", "--h0", "2", "--h1", "1.5", "--grid", "64")
+    assert code == 0 and solved == [(2.0, 1.5)]
+
+
+# h0 and h1 one ulp apart: the solved cycle has z0 == z1 to the last bit, and
+# the verdict is the constant-stocking one (r2(1.2) ~ 0.80 < r = 1 < h = 1.2)
+ULP_APART = ("1.2000000000000002", "1.2")
+
+
+@pytest.mark.parametrize("h0, h1", [ULP_APART, ULP_APART[::-1]])
+def test_ulp_apart_stocking_is_certified(capsys, h0, h1):
+    code, out, _ = run(capsys, "certify", "--r", "1", "--h0", h0, "--h1", h1, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "AbsorbingBox"
+    assert payload["z0"] == payload["z1"]
+    box = certify_constant(ModelParams.constant(1.0, 1.2)).box
+    assert payload["even_range"] == pytest.approx(box, abs=1e-9)
+    assert payload["odd_range"] == pytest.approx(box, abs=1e-9)
+    code, _, _ = run(capsys, "two-cycle", "--r", "1", "--h0", h0, "--h1", h1)
+    assert code == 0
+
+
+def test_sweep_ulp_apart_cell(capsys, tmp_path):
+    out_path = tmp_path / "p.csv"
+    h0, h1 = ULP_APART
+    code, _, _ = run(capsys, "sweep", "--mode", "periodic", "--r", "1",
+                     "--h0-lo", h0, "--h0-hi", h0, "--nh0", "1",
+                     "--h1-lo", h1, "--h1-hi", h1, "--nh1", "1",
+                     "--out", str(out_path))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out_path.read_text())))
+    assert rows[1][:4] == [h0, h1, "1", "AbsorbingBox"]
 
 
 def test_sweep_boundary_coherence(capsys, tmp_path):

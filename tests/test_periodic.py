@@ -18,6 +18,9 @@ from ricker_lab.periodic import (
     RULE_CYCLE_UNSTABLE,
     RULE_DET_BELOW_ONE,
     _cycle_residuals,
+    _orbit_bounds,
+    _reduced_residual,
+    _reduced_residual_grid,
 )
 
 from _oracles import mp_two_cycle, orbit_batch
@@ -84,6 +87,20 @@ def test_two_cycle_unstable_case_solved_by_fallback():
     lam = sorted(rep.eigenvalues, key=abs)
     assert lam[0].imag == 0.0
     assert abs(lam[1]) > 2.0
+
+
+@pytest.mark.parametrize("key", [(3.0, 2.0, 6.444), (1.5, 0.820, 1.800), (4.2, 0.05, 8.7), (2.5, 7.0, 0.0)])
+def test_reduced_residual_grid_signs_match_scalar_loop(key):
+    # the scan's array evaluation may differ from math.exp/log in the last
+    # bit, but it must pick the same brackets as the scalar residual
+    r, h0, h1 = key
+    y_max = _orbit_bounds(r, h0, h1)[1]
+    grid = h1 + np.geomspace(1e-9, 60.0, 4096)
+    scalar = np.array([_reduced_residual(float(t), r, h0, h1, y_max) for t in grid])
+    vector = _reduced_residual_grid(grid, r, h0, h1, y_max)
+    assert (scalar == 1e18).any() and (vector == 1e18).any()
+    assert np.array_equal(np.sign(vector), np.sign(scalar))
+    np.testing.assert_allclose(vector, scalar, rtol=1e-12, atol=1e-12)
 
 
 def test_two_cycle_requires_two_periodic():
