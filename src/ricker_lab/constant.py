@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._roots import bisect
 from .errors import BracketFailure, CountMismatch, Infeasible
-from .model import ModelParams, PlanarPoint
+from .model import ModelParams, PlanarPoint, planar_maps
 from .embedding import BoxRegion
 from .verdicts import (
     ClassificationVerdict,
@@ -87,18 +88,12 @@ def _equilibrium_root(r: float, h: float) -> float:
     if h == 0.0:
         return r
     phi = lambda y: y - y * math.exp(r - y) - h
-    lo = max(r, h) + 1e-12
+    lo = max(r, h)
     hi = h + math.exp(r - 1.0) + 1.0
     flo, fhi = phi(lo), phi(hi)
     if flo > 0.0 or fhi < 0.0:
         raise BracketFailure(f"equilibrium bracket failed for r={r}, h={h}: ({flo}, {fhi})")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    y = 0.5 * (lo + hi)
+    y = bisect(lambda y: phi(y) <= 0.0, lo, hi)
     # phi'(y) = 1 - (1 - y) e^{r-y}
     dphi = 1.0 - (1.0 - y) * math.exp(r - y)
     if dphi != 0.0:
@@ -132,7 +127,7 @@ def equilibria_grid(r: np.ndarray, h: np.ndarray, iters: int = 90) -> np.ndarray
     """Vectorized equilibrium solve over parameter arrays (used by sweeps)."""
     r = np.asarray(r, dtype=float)
     h = np.asarray(h, dtype=float)
-    lo = np.maximum(r, h) + 1e-12
+    lo = np.maximum(r, h)
     hi = h + np.exp(r - 1.0) + 1.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
@@ -194,14 +189,7 @@ def find_intersections(params: ModelParams, n_grid: int = 4096, span: float = 40
             continue
         lo, hi = float(ts[i]), float(ts[i + 1])
         flo = s(lo)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = s(mid)
-            if flo * fm <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        roots.append(0.5 * (lo + hi))
+        roots.append(bisect(lambda t: flo * s(t) > 0.0, lo, hi))
     deduped: list[float] = []
     for t in sorted(roots):
         if not deduped or abs(t - deduped[-1]) > 1e-6:
@@ -232,7 +220,7 @@ def feasible_ab(params: ModelParams, target: PlanarPoint | tuple[float, float]) 
     t_min, t_max = min(tx, ty), max(tx, ty)
     if t_min <= r:
         raise Infeasible(f"target {target} has a coordinate at or below r={r}")
-    F = lambda x, y: x * math.exp(r - y) + h
+    F, = planar_maps(params)
     a = r + 0.5 * (min(h, t_min) - r)
     for _ in range(60):
         b = max(_g1(a, r, h) + 1e-9, t_max)

@@ -78,6 +78,13 @@ def build_embedding(F: PlanarMap) -> QuadMap:
     return G
 
 
+def build_folded_embedding(f0: PlanarMap, f1: PlanarMap) -> QuadMap:
+    """The folded embedded map G1 o G0 of the 2-periodic pair (f0, f1)."""
+    g0 = build_embedding(f0)
+    g1 = build_embedding(f1)
+    return lambda q: g1(g0(q))
+
+
 def box_compatible(G: QuadMap, box: BoxRegion) -> bool:
     """Whether (a, b) <= (F(a, b), F(b, a)) southeast, read off one G evaluation.
 
@@ -300,9 +307,7 @@ def classify_folded_fixed_point(
     x != y with (u, v) = (x, y) seeds a genuine 2-cycle of the alternating
     system; anything else is an artificial cycle.
     """
-    g0 = build_embedding(f0)
-    g1 = build_embedding(f1)
-    image = g1(g0(xi))
+    image = build_folded_embedding(f0, f1)(xi)
     resid = _sup_dist(image, xi)
     # A point perturbed by tol moves by O(tol) under the folded map, so the
     # fixed-point gate is looser than the coordinate-equality tolerance.

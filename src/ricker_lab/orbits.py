@@ -8,6 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._roots import bisect
 from .constant import solve_equilibrium
 from .errors import NoCrossing, OrbitOverflow
 from .model import ModelParams
@@ -65,20 +66,6 @@ class OrbitResult:
     points: Optional[tuple[float, ...]] = None
 
 
-def _local_spectral_data(params: ModelParams):
-    """(spectral radius, has complex pair) at the equilibrium or 2-cycle."""
-    if params.p == 1:
-        rep = solve_equilibrium(params)
-        lam = rep.eigenvalues
-    elif params.p == 2:
-        rep2 = solve_two_cycle(params)
-        lam = rep2.eigenvalues
-    else:
-        return None
-    radius = max(abs(l) for l in lam)
-    return radius, lam[0].imag != 0.0
-
-
 def classify_attractor(
     params: ModelParams,
     x0: float,
@@ -117,10 +104,10 @@ def classify_attractor(
                 transient_used=transient, tolerance=tol,
                 period=k, points=tuple(float(v) for v in w[-k:]),
             )
-    spectral = _local_spectral_data(params)
+    spectral = _modulus_at(params)
     if spectral is not None:
-        radius, complex_pair = spectral
-        if complex_pair and radius > 1.0:
+        radius, lead = spectral
+        if lead.imag != 0.0 and radius > 1.0:
             return OrbitResult(
                 kind=AttractorKind.INVARIANT_CURVE, samples=samples,
                 transient_used=transient, tolerance=tol,
@@ -144,17 +131,15 @@ class CrossingReport:
     kind: str  # "equilibrium" or "two-cycle"
 
 
-def _modulus_at(params: ModelParams) -> tuple[float, complex]:
+def _modulus_at(params: ModelParams) -> tuple[float, complex] | None:
+    """(spectral radius, leading eigenvalue) at the equilibrium (p = 1) or
+    the composed 2-cycle Jacobian (p = 2); None for longer periods."""
     if params.p == 1:
-        rep = solve_equilibrium(params)
-        lam = rep.eigenvalues
-        kind = "equilibrium"
+        lam = solve_equilibrium(params).eigenvalues
     elif params.p == 2:
-        rep2 = solve_two_cycle(params)
-        lam = rep2.eigenvalues
-        kind = "two-cycle"
+        lam = solve_two_cycle(params).eigenvalues
     else:
-        raise ValueError("scans support p = 1 and p = 2 only")
+        return None
     lead = max(lam, key=abs)
     return abs(lead), lead
 
@@ -170,16 +155,24 @@ def neimark_sacker_scan(
 
     `family` maps the scan parameter s to model parameters; the scanned
     quantity is the spectral radius of the equilibrium (p = 1) or composed
-    2-cycle Jacobian (p = 2).  Raises NoCrossing when the radius stays on one
-    side over the whole grid.
+    2-cycle Jacobian (p = 2).  The first sign change on a `steps`-point grid
+    over s_lo < s_hi is bisected until it is no wider than `refine_width`;
+    `refine_width=0` bisects down to float resolution.  Raises NoCrossing
+    when the radius stays on one side over the whole grid.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    if not s_lo < s_hi:
+        raise ValueError(f"scan range needs s_lo < s_hi, got [{s_lo}, {s_hi}]")
+
+    def excess(s: float) -> float:
+        spectral = _modulus_at(family(s))
+        if spectral is None:
+            raise ValueError("scans support p = 1 and p = 2 only")
+        return spectral[0] - 1.0
+
     grid = np.linspace(s_lo, s_hi, steps)
-    vals = []
-    for s in grid:
-        m, _ = _modulus_at(family(float(s)))
-        vals.append(m - 1.0)
+    vals = [excess(float(s)) for s in grid]
     bracket = None
     for i in range(steps - 1):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
@@ -189,16 +182,8 @@ def neimark_sacker_scan(
         raise NoCrossing(
             f"eigenvalue modulus stays on one side of 1 over [{s_lo}, {s_hi}]"
         )
-    lo, hi = bracket
-    flo = _modulus_at(family(lo))[0] - 1.0
-    while hi - lo > refine_width:
-        mid = 0.5 * (lo + hi)
-        fm = _modulus_at(family(mid))[0] - 1.0
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    s_star = 0.5 * (lo + hi)
+    flo = excess(bracket[0])
+    s_star = bisect(lambda s: flo * excess(s) > 0.0, *bracket, width=refine_width)
     params = family(s_star)
     modulus, lead = _modulus_at(params)
     kind = "equilibrium" if params.p == 1 else "two-cycle"

@@ -20,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import BoxRegion, build_embedding
+from ._roots import bisect, newton_2d
+from .embedding import BoxRegion, build_folded_embedding
 from .errors import (
     ContradictionDetected,
     NonConvergence,
     WitnessConstructionFailed,
 )
-from .model import ModelParams, QuadPoint
+from .model import ModelParams, QuadPoint, planar_maps
 from .verdicts import (
     ClassificationVerdict,
     LocalVerdict,
@@ -76,42 +77,19 @@ def _orbit_bounds(r: float, h0: float, h1: float) -> tuple[float, float]:
     return (er + h0) * er + h1, (er + h1) * er + h0
 
 
+def _cycle_system(z0: float, z1: float, r: float, h0: float, h1: float):
+    """The 2-cycle residuals and their Jacobian in (z0, z1)."""
+    f0 = math.exp(r - z0)
+    f1 = math.exp(r - z1)
+    return z1 * f0 + h1 - z0, z0 * f1 + h0 - z1, -z1 * f0 - 1.0, f0, f1, -z0 * f1 - 1.0
+
+
 def _cycle_residuals(z0: float, z1: float, r: float, h0: float, h1: float) -> tuple[float, float]:
-    return (
-        z1 * math.exp(r - z0) + h1 - z0,
-        z0 * math.exp(r - z1) + h0 - z1,
-    )
+    return _cycle_system(z0, z1, r, h0, h1)[:2]
 
 
-def _newton_polish_cycle(z0: float, z1: float, r: float, h0: float, h1: float, iters: int = 60):
-    for _ in range(iters):
-        f0 = math.exp(r - z0)
-        f1 = math.exp(r - z1)
-        r1 = z1 * f0 + h1 - z0
-        r2 = z0 * f1 + h0 - z1
-        j11 = -z1 * f0 - 1.0
-        j12 = f0
-        j21 = f1
-        j22 = -z0 * f1 - 1.0
-        det = j11 * j22 - j12 * j21
-        if det == 0.0 or not math.isfinite(det):
-            break
-        dz0 = (r1 * j22 - r2 * j12) / det
-        dz1 = (r2 * j11 - r1 * j21) / det
-        step = 1.0
-        base = abs(r1) + abs(r2)
-        while step > 1e-6:
-            n0, n1 = z0 - step * dz0, z1 - step * dz1
-            q1, q2 = _cycle_residuals(n0, n1, r, h0, h1)
-            if abs(q1) + abs(q2) < base:
-                z0, z1 = n0, n1
-                break
-            step *= 0.5
-        else:
-            break
-        if abs(q1) + abs(q2) < 1e-14 * (1.0 + abs(z0) + abs(z1)):
-            break
-    return z0, z1
+def _newton_polish_cycle(z0: float, z1: float, r: float, h0: float, h1: float):
+    return newton_2d(lambda z0, z1: _cycle_system(z0, z1, r, h0, h1), z0, z1)
 
 
 def _reduced_z1(z0: float, r: float, h1: float) -> float:
@@ -156,14 +134,7 @@ def _scan_cycle_roots(r: float, h0: float, h1: float, n_grid: int = 4096) -> lis
         flo = _reduced_residual(lo, r, h0, h1, y_max)
         if not math.isfinite(flo):
             continue
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = _reduced_residual(mid, r, h0, h1, y_max)
-            if flo * fm <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        z0 = 0.5 * (lo + hi)
+        z0 = bisect(lambda t: flo * _reduced_residual(t, r, h0, h1, y_max) > 0.0, lo, hi)
         z0, z1 = _newton_polish_cycle(z0, _reduced_z1(z0, r, h1), r, h0, h1)
         q1, q2 = _cycle_residuals(z0, z1, r, h0, h1)
         if max(abs(q1), abs(q2)) < _RESIDUAL_TOL and z0 > h1 and z1 > h0:
@@ -283,6 +254,8 @@ def feasibility_curves(t: float, params: ModelParams) -> tuple[float, float]:
     if t <= r:
         raise ValueError(f"feasibility curves are defined for t > r, got t={t}, r={r}")
     ft = math.exp(r - t)
+    if ft == 1.0:
+        raise ValueError(f"t={t} is within rounding of the pole at r={r}")
     return h0 / (1.0 - ft), (h0 * ft + h1) / (1.0 - ft * ft)
 
 
@@ -318,50 +291,29 @@ def _artificial_residuals(X, Y, r: float, h0: float, h1: float):
     return R1, R2
 
 
-def _newton_polish_artificial(x: float, y: float, r: float, h0: float, h1: float, iters: int = 80):
-    def residuals(x: float, y: float) -> tuple[float, float]:
-        # the loop top's expressions; a line-search step can overflow exp
-        try:
-            P = x * math.exp(r - y) + h0
-            Q = y * math.exp(r - x) + h1
-            return P * math.exp(r - Q) - x + h1, Q * math.exp(r - P) - y + h0
-        except OverflowError:
-            return math.inf, math.inf
+def _artificial_system(x: float, y: float, r: float, h0: float, h1: float):
+    """`_artificial_residuals` at one point, with their Jacobian in (x, y)."""
+    a1 = math.exp(r - y)
+    a2 = math.exp(r - x)
+    P = x * a1 + h0
+    Q = y * a2 + h1
+    b1 = math.exp(r - Q)
+    b2 = math.exp(r - P)
+    return (
+        P * b1 - x + h1,
+        Q * b2 - y + h0,
+        a1 * b1 + P * b1 * y * a2 - 1.0,
+        -x * a1 * b1 - P * b1 * a2,
+        -y * a2 * b2 - Q * b2 * a1,
+        a2 * b2 + Q * b2 * x * a1 - 1.0,
+    )
 
-    for _ in range(iters):
-        a1 = math.exp(r - y)
-        a2 = math.exp(r - x)
-        P = x * a1 + h0
-        Q = y * a2 + h1
-        b1 = math.exp(r - Q)
-        b2 = math.exp(r - P)
-        r1 = P * b1 - x + h1
-        r2 = Q * b2 - y + h0
-        if abs(r1) + abs(r2) < 1e-13:
-            break
-        j11 = a1 * b1 + P * b1 * y * a2 - 1.0
-        j12 = -x * a1 * b1 - P * b1 * a2
-        j21 = -y * a2 * b2 - Q * b2 * a1
-        j22 = a2 * b2 + Q * b2 * x * a1 - 1.0
-        det = j11 * j22 - j12 * j21
-        if det == 0.0 or not math.isfinite(det):
-            return None
-        dx = (r1 * j22 - r2 * j12) / det
-        dy = (r2 * j11 - r1 * j21) / det
-        step = 1.0
-        base = abs(r1) + abs(r2)
-        improved = False
-        while step > 1e-8:
-            nx, ny = x - step * dx, y - step * dy
-            q1, q2 = residuals(nx, ny)
-            if abs(q1) + abs(q2) < base:
-                x, y = nx, ny
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            return None
-    r1, r2 = residuals(x, y)
+
+def _newton_polish_artificial(x: float, y: float, r: float, h0: float, h1: float):
+    """The polished root near (x, y), or None when its residual sum exceeds 1e-11."""
+    system = lambda x, y: _artificial_system(x, y, r, h0, h1)
+    x, y = newton_2d(system, x, y)
+    r1, r2 = system(x, y)[:2]
     if abs(r1) + abs(r2) > 1e-11:
         return None
     return x, y
@@ -382,6 +334,8 @@ def find_artificial_cycles(params: ModelParams, grid: int = 1024) -> ArtificialC
 def _find_artificial_cycles(params: ModelParams, cycle: TwoCycleReport, grid: int) -> ArtificialCycleSet:
     """`find_artificial_cycles` given the solved 2-cycle of params."""
     r, h0, h1 = _require_two_periodic(params)
+    if grid < 2:
+        raise ValueError(f"the artificial-cycle scan needs grid >= 2, got {grid}")
     x_max, y_max = _orbit_bounds(r, h0, h1)
     xs = h1 + np.geomspace(1e-9, x_max - h1, grid)
     ys = h0 + np.geomspace(1e-9, y_max - h0, grid)
@@ -413,8 +367,8 @@ def _find_artificial_cycles(params: ModelParams, cycle: TwoCycleReport, grid: in
 
     scale = 1.0 + abs(cycle.z0) + abs(cycle.z1)
     quads: list[QuadPoint] = []
-    f0, f1 = _planar_pair(r, h0, h1)
-    g10 = _folded_embedding(f0, f1)
+    f0, f1 = planar_maps(params)
+    g10 = build_folded_embedding(f0, f1)
     for x, y in sorted(roots):
         if abs(x - cycle.z0) + abs(y - cycle.z1) < 1e-5 * scale:
             continue
@@ -431,18 +385,6 @@ def _find_artificial_cycles(params: ModelParams, cycle: TwoCycleReport, grid: in
     )
 
 
-def _planar_pair(r: float, h0: float, h1: float):
-    f0 = lambda x, y: x * math.exp(r - y) + h0
-    f1 = lambda x, y: x * math.exp(r - y) + h1
-    return f0, f1
-
-
-def _folded_embedding(f0, f1):
-    g0 = build_embedding(f0)
-    g1 = build_embedding(f1)
-    return lambda q: g1(g0(q))
-
-
 # ---------------------------------------------------------------------------
 # Certification
 # ---------------------------------------------------------------------------
@@ -456,7 +398,7 @@ def _witness_box(params: ModelParams, report: TwoCycleReport) -> BoxRegion:
     curve.  All inequalities are re-verified by direct evaluation.
     """
     r, h0, h1 = _require_two_periodic(params)
-    f0, f1 = _planar_pair(r, h0, h1)
+    f0, f1 = planar_maps(params)
     z_lo, z_hi = min(report.z0, report.z1), max(report.z0, report.z1)
 
     def valid(a: float, b: float) -> bool:
@@ -467,23 +409,24 @@ def _witness_box(params: ModelParams, report: TwoCycleReport) -> BoxRegion:
         return a < min(fa, f1(fa, b)) and b > max(fb, f1(fb, a))
 
     if h0 > h1:
-        if h1 <= r:
-            raise WitnessConstructionFailed("needs h1 > r for the one-step corner")
         for k in range(1, 60):
             a = r + (h1 - r) * 0.5**k
-            ft = math.exp(r - a)
-            b = max(h0 / (1.0 - ft) * (1.0 + 1e-12) + 1e-12, z_hi + 1.0)
+            try:
+                one_step, _ = feasibility_curves(a, params)
+            except ValueError:
+                break  # a has reached the curves' pole at r, or h1 <= r
+            b = max(one_step * (1.0 + 1e-12) + 1e-12, z_hi + 1.0)
             if valid(a, b):
                 return BoxRegion(a, b)
     else:
-        if h0 <= r:
-            raise WitnessConstructionFailed("needs h0 > r for the two-step corner")
-        ft0 = math.exp(r - h0)
-        base = max((h0 * ft0 + h1) / (1.0 - ft0 * ft0), z_hi, r) + 1.0
+        try:
+            _, two_step = feasibility_curves(h0, params)
+        except ValueError:
+            raise WitnessConstructionFailed("needs h0 > r, beyond rounding, for the two-step corner") from None
+        base = max(two_step, z_hi, r) + 1.0
         for k in range(60):
             b = base * 2.0**k
-            ftb = math.exp(r - b)
-            a = h0 / (1.0 - ftb) * (1.0 - 1e-12)
+            a = feasibility_curves(b, params)[0] * (1.0 - 1e-12)
             if valid(a, b):
                 return BoxRegion(a, b)
     raise WitnessConstructionFailed(

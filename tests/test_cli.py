@@ -71,9 +71,50 @@ def test_exit_codes(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "scan-ns", "--h", "1", "--s-lo", "0.1", "--s-hi", "1.0")
     assert code == 3 and "numeric failure" in err
+    code, _, err = run(capsys, "scan-ns", "--h", "1", "--s-lo", "2", "--s-hi", "1")
+    assert code == 2 and "s_lo < s_hi" in err
     with pytest.raises(SystemExit) as exc:
         main(["equilibrium", "--r", "not-a-number", "--h", "1"])
     assert exc.value.code == 2
+
+
+def test_certify_tiny_constant_stocking(capsys):
+    code, out, _ = run(capsys, "certify", "--r", "2", "--h", "1e-12", "--json")
+    assert code == 0
+    assert json.loads(out)["y_bar"] == 2.0000000000005
+
+
+# h0 > h1 with h1 just above r: the one-step corner a = r + (h1 - r) 2^-k
+# reaches r, where the feasibility curves have their pole
+@pytest.mark.parametrize("r, h0, h1", [
+    (1.0, 2.0, 1.0001), (1.0, 2.0, 1.00000001), (1.0, 2.0, 1.000000000000001),
+    (1.0, 1.5, 1.0001), (1.0, 1.2, 1.00001), (0.5, 0.9, 0.5000001),
+])
+def test_certify_one_step_corner_at_the_pole(capsys, r, h0, h1):
+    code, out, _ = run(capsys, "certify", "--r", repr(r), "--h0", repr(h0), "--h1", repr(h1),
+                       "--grid", "256", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "AbsorbingBox" and payload["witness"] is None
+
+
+# below r = 0.5 an ulp above r is within rounding of the pole, e^{r - t} == 1
+@pytest.mark.parametrize("h0, h1", [(0.5, 0.10000000000000002), (0.10000000000000002, 0.5)])
+def test_certify_stocking_within_rounding_of_r(capsys, h0, h1):
+    code, _, err = run(capsys, "certify", "--r", "0.1", "--h0", repr(h0), "--h1", repr(h1),
+                       "--grid", "64")
+    assert code == 3 and "numeric failure" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--r", "1", "--h0", "2", "--h1", "1", "--grid", "1"),
+    ("artificial-cycles", "--r", "1", "--h0", "2", "--h1", "1", "--grid", "0"),
+    ("sweep", "--mode", "periodic", "--r", "1", "--h0-lo", "2", "--h0-hi", "2", "--nh0", "1",
+     "--h1-lo", "1", "--h1-hi", "1", "--nh1", "1", "--art-grid", "1"),
+])
+def test_artificial_cycle_grid_floor(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "grid >= 2" in err
 
 
 def test_orbit_csv_single_row(capsys):

@@ -50,6 +50,21 @@ def test_equilibrium_against_live_oracle():
         assert rep.y_bar == pytest.approx(float(mp_equilibrium(r, h)), abs=1e-10)
 
 
+@pytest.mark.parametrize("r, h, tag", [
+    (2.0, 1e-12, VerdictTag.UNSTABLE),
+    (1.5, 1e-13, VerdictTag.UNSTABLE),
+    (0.5, 1e-16, VerdictTag.LOCALLY_STABLE_GLOBAL_OPEN),
+    (0.9, 5e-13, VerdictTag.LOCALLY_STABLE_GLOBAL_OPEN),
+])
+def test_equilibrium_tiny_stocking_against_oracle(r, h, tag):
+    # y* - r is about h/r here, below any fixed offset from max(r, h)
+    expected = float(mp_equilibrium(r, h))
+    y = solve_equilibrium(ModelParams.constant(r, h)).y_bar
+    assert y == pytest.approx(expected, rel=4e-16)
+    assert equilibria_grid(np.array([r]), np.array([h]))[0] == pytest.approx(expected, rel=4e-16)
+    assert certify_constant(ModelParams.constant(r, h)).tag is tag
+
+
 def test_equilibrium_zero_stocking_limit():
     for r in (0.3, 1.0, 2.5):
         rep = solve_equilibrium(ModelParams.constant(r, 0.0))

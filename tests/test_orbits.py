@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ricker_lab
 from ricker_lab import (
     AttractorKind,
     ModelParams,
@@ -159,3 +164,25 @@ def test_ns_scan_periodic():
 def test_ns_scan_no_crossing():
     with pytest.raises(NoCrossing):
         neimark_sacker_scan(lambda s: ModelParams.constant(s, 1.0), 0.1, 1.0)
+
+
+@pytest.mark.parametrize("s_lo, s_hi", [(1.6, 1.0), (1.3, 1.3)])
+def test_ns_scan_rejects_empty_range(s_lo, s_hi):
+    with pytest.raises(ValueError, match="s_lo < s_hi"):
+        neimark_sacker_scan(lambda s: ModelParams.constant(s, 1.0), s_lo, s_hi)
+
+
+def test_ns_scan_zero_width_stops_at_float_resolution():
+    # run in a child process, so that a bisection that never ends fails
+    # this test on its timeout instead of hanging the suite
+    code = (
+        "from ricker_lab import ModelParams, neimark_sacker_scan\n"
+        "rep = neimark_sacker_scan(lambda s: ModelParams.constant(s, 1.0), 1.0, 1.6, refine_width=0.0)\n"
+        "print(repr(rep.s_star))\n"
+    )
+    src = str(Path(ricker_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert abs(float(done.stdout) - (2.0 - math.log(2.0))) <= 4e-16
