@@ -9,6 +9,7 @@ grid order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -90,6 +91,14 @@ def _merge_config(args: argparse.Namespace, spec: dict[str, tuple]) -> None:
         setattr(args, dest, val)
 
 
+def _require_scan_grid(grid: int, flag: str) -> None:
+    """Reject an artificial-cycle scan resolution below 2 before any cell
+    runs, so the option fails on every input, not only on the cells that
+    reach the scan."""
+    if grid < 2:
+        raise ValueError(f"the artificial-cycle scan needs {flag} >= 2, got {grid}")
+
+
 def _params_from(args: argparse.Namespace) -> ModelParams:
     has_const = args.h is not None
     has_periodic = args.h0 is not None or args.h1 is not None
@@ -155,6 +164,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         "grid": (int, 1024, False),
         "json": (_as_bool, False, False),
     })
+    _require_scan_grid(args.grid, "--grid")
     params = _params_from(args)
     if params.p == 1:
         verdict = certify_constant(params)
@@ -240,6 +250,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "out": (str, "-", False),
         "curves": (str, None, False),
     })
+    _require_scan_grid(args.art_grid, "--art-grid")
     if args.mode == "constant":
         for name in ("h_lo", "h_hi", "nh", "r_lo", "r_hi", "nr"):
             if getattr(args, name) is None:
@@ -348,6 +359,7 @@ def cmd_artificial_cycles(args: argparse.Namespace) -> int:
         "grid": (int, 1024, False),
         "json": (_as_bool, False, False),
     })
+    _require_scan_grid(args.grid, "--grid")
     result = find_artificial_cycles(
         ModelParams(r=args.r, stocking=(args.h0, args.h1)), grid=args.grid
     )
@@ -369,7 +381,9 @@ def cmd_artificial_cycles(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="ricker-lab",
         description="Delayed Ricker model with stocking: reports, certification, sweeps.",

@@ -28,6 +28,7 @@ from .verdicts import (
 )
 
 _MARGINAL_BAND = 1e-10
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -78,18 +79,31 @@ def thresholds(h: float) -> ThresholdSet:
     return ThresholdSet(r1=r1, h_star=h_star, r2=r2)
 
 
-def _equilibrium_root(r: float, h: float) -> float:
-    """Root of y - y e^{r-y} - h on (max(r, h), h + e^{r-1} + 1].
+def _upper_end(r: float, h: float) -> float:
+    """An upper bracket end for the equilibrium, where phi(y) >= 0.
 
-    Bisection on the guaranteed bracket, then one Newton polish.  y e^{r-y}
-    is at most e^{r-1}, which makes the upper end positive; the lower end is
-    negative because the equilibrium exceeds both r and h.
+    h + e^{r-1} + 1 works because y e^{r-y} is at most e^{r-1}.  Where that
+    overflows, max(r + ln 2, 2h) works instead: past r + ln 2, e^{r-y} <= 1/2,
+    so phi(y) >= y/2 - h, which is nonnegative from 2h on.
+    """
+    try:
+        hi = h + math.exp(r - 1.0) + 1.0
+    except OverflowError:
+        hi = math.inf
+    return hi if math.isfinite(hi) else max(r + _LN2, 2.0 * h)
+
+
+def _equilibrium_root(r: float, h: float) -> float:
+    """Root of y - y e^{r-y} - h on (max(r, h), `_upper_end(r, h)`].
+
+    Bisection on the guaranteed bracket, then one Newton polish.  The lower
+    end is negative because the equilibrium exceeds both r and h.
     """
     if h == 0.0:
         return r
     phi = lambda y: y - y * math.exp(r - y) - h
     lo = max(r, h)
-    hi = h + math.exp(r - 1.0) + 1.0
+    hi = _upper_end(r, h)
     flo, fhi = phi(lo), phi(hi)
     if flo > 0.0 or fhi < 0.0:
         raise BracketFailure(f"equilibrium bracket failed for r={r}, h={h}: ({flo}, {fhi})")
@@ -128,7 +142,10 @@ def equilibria_grid(r: np.ndarray, h: np.ndarray, iters: int = 90) -> np.ndarray
     r = np.asarray(r, dtype=float)
     h = np.asarray(h, dtype=float)
     lo = np.maximum(r, h)
-    hi = h + np.exp(r - 1.0) + 1.0
+    with np.errstate(over="ignore"):
+        hi = h + np.exp(r - 1.0) + 1.0
+    # the fallback end of `_upper_end` wherever this one overflows
+    hi = np.where(np.isfinite(hi), hi, np.maximum(r + _LN2, 2.0 * h))
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         neg = mid - mid * np.exp(r - mid) - h <= 0.0
@@ -158,15 +175,29 @@ def expected_intersection_count(r: float, h: float, ts: ThresholdSet | None = No
     return 3 if (ts.r2 < r < h) else 1
 
 
+def _intersection_residual_grid(ts: np.ndarray, r: float, h: float) -> np.ndarray:
+    """g1(g1(t)) - t at every point of ts as one array expression; NaN where
+    g1(t) <= r, outside the domain of g1, and where t is within rounding of
+    the pole of g1 at r, which the scalar g1 cannot evaluate."""
+    with np.errstate(divide="ignore"):
+        inner = h / (1.0 - np.exp(r - ts))
+    valid = np.isfinite(inner) & (inner > r)
+    outer = h / (1.0 - np.exp(r - np.where(valid, inner, np.inf)))
+    return np.where(valid, outer - ts, np.nan)
+
+
 def find_intersections(params: ModelParams, n_grid: int = 4096, span: float = 40.0) -> list[PlanarPoint]:
     """All solutions of x = x f(y) + h and y = y f(x) + h in the open quadrant.
 
     Both curves are graphs of the decreasing map g1(t) = h / (1 - e^{r-t}) on
-    t > r, so intersections are the fixed point and 2-cycles of g1.  The scan
-    walks sign changes of g1(g1(t)) - t on a log-spaced grid over
-    (r, r + span], polishes each bracket by bisection, and deduplicates at
-    1e-6.  Raises CountMismatch when the numeric count disagrees with the
-    analytic case prediction.
+    t > r, so intersections are the fixed point and 2-cycles of g1.  The
+    signs of s(t) = g1(g1(t)) - t are taken on a log-spaced grid over
+    (r, r + span] as one array expression; a cell is a bracket when neither
+    end is NaN and the product of its end values is not positive.  Each
+    bracket is bisected on the scalar s(t), whose `math.exp` may differ from
+    the array's in the last bit, and the roots are deduplicated at 1e-6.
+    Raises CountMismatch when the numeric count disagrees with the analytic
+    case prediction.
     """
     if params.p != 1:
         raise ValueError("find_intersections requires constant stocking (p = 1)")
@@ -181,12 +212,11 @@ def find_intersections(params: ModelParams, n_grid: int = 4096, span: float = 40
         return _g1(inner, r, h) - t
 
     ts = r + np.geomspace(1e-9, span, n_grid)
-    vals = np.array([s(t) for t in ts])
+    vals = _intersection_residual_grid(ts, r, h)
+    a, b = vals[:-1], vals[1:]
+    brackets = ~(np.isnan(a) | np.isnan(b) | (a * b > 0.0))
     roots: list[float] = []
-    for i in range(n_grid - 1):
-        a, b = vals[i], vals[i + 1]
-        if math.isnan(a) or math.isnan(b) or a * b > 0.0:
-            continue
+    for i in np.flatnonzero(brackets):
         lo, hi = float(ts[i]), float(ts[i + 1])
         flo = s(lo)
         roots.append(bisect(lambda t: flo * s(t) > 0.0, lo, hi))

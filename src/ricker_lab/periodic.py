@@ -282,12 +282,28 @@ class ArtificialCycleSet:
 
 
 def _artificial_residuals(X, Y, r: float, h0: float, h1: float):
-    a1 = np.exp(r - Y)
-    a2 = np.exp(r - X)
-    P = X * a1 + h0
-    Q = Y * a2 + h1
-    R1 = P * np.exp(r - Q) - X + h1
-    R2 = Q * np.exp(r - P) - Y + h0
+    """The residual surfaces P e^{r-Q} - X + h1 and Q e^{r-P} - Y + h0, with
+    P = X e^{r-Y} + h0 and Q = Y e^{r-X} + h1, on the grid spanned by the
+    column X and the row Y.
+
+    Built in place, in the order the formulas read, so the values are those
+    of the plain expressions: three full-size arrays, the second surface
+    overwriting P once the first no longer needs it.
+    """
+    P = X * np.exp(r - Y)
+    P += h0
+    Q = Y * np.exp(r - X)
+    Q += h1
+    R1 = np.subtract(r, Q)
+    np.exp(R1, out=R1)
+    R1 *= P
+    R1 -= X
+    R1 += h1
+    R2 = np.subtract(r, P, out=P)
+    np.exp(R2, out=R2)
+    R2 *= Q
+    R2 -= Y
+    R2 += h0
     return R1, R2
 
 

@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ricker_lab
 from ricker_lab import ModelParams, certify_constant, cli, periodic, thresholds
 from ricker_lab.cli import main
 
@@ -111,10 +115,23 @@ def test_certify_stocking_within_rounding_of_r(capsys, h0, h1):
     ("artificial-cycles", "--r", "1", "--h0", "2", "--h1", "1", "--grid", "0"),
     ("sweep", "--mode", "periodic", "--r", "1", "--h0-lo", "2", "--h0-hi", "2", "--nh0", "1",
      "--h1-lo", "1", "--h1-hi", "1", "--nh1", "1", "--art-grid", "1"),
+    # the floor holds on cells that never reach the scan: min(h0, h1) < r
+    ("certify", "--r", "1", "--h0", "0.5", "--h1", "2", "--grid", "1"),
+    ("sweep", "--mode", "periodic", "--r", "1", "--h0-lo", "0.3", "--h0-hi", "0.6", "--nh0", "2",
+     "--h1-lo", "0.3", "--h1-hi", "2", "--nh1", "2", "--art-grid", "0"),
 ])
 def test_artificial_cycle_grid_floor(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2 and "grid >= 2" in err
+
+
+def test_growth_rate_past_exp_overflow(capsys):
+    code, out, _ = run(capsys, "equilibrium", "--r", "800", "--h", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["y_bar"] == pytest.approx(800.00125, abs=1e-5)
+    code, out, _ = run(capsys, "certify", "--r", "800", "--h", "900", "--json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "GloballyStable"
 
 
 def test_orbit_csv_single_row(capsys):
@@ -359,3 +376,22 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     # explicit flag beats the file
     code, out, _ = run(capsys, "equilibrium", "--config", str(cfg), "--r", "1.5")
     assert json.loads(out)["y_bar"] == pytest.approx(2.589, abs=1e-3)
+
+
+def test_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    # the parser is built once per process; each call in one process must
+    # print what the same call prints in a fresh one
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r=2\nh=1.7182818\njson=true\n")
+    calls = [
+        ("certify", "--r", "2", "--h", "2.6", "--json"),
+        ("certify", "--r", "2", "--h", "2.6"),
+        ("equilibrium", "--config", str(cfg)),
+        ("equilibrium", "--r", "1.5", "--h", "1"),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(ricker_lab.__file__).parents[1])}
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "ricker_lab", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)

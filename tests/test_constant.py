@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,7 +14,7 @@ from ricker_lab import (
     solve_equilibrium,
     thresholds,
 )
-from ricker_lab.constant import equilibria_grid
+from ricker_lab.constant import _g1, _intersection_residual_grid, equilibria_grid
 from ricker_lab.errors import Infeasible
 
 from _oracles import mp_equilibrium, orbit_batch
@@ -63,6 +64,17 @@ def test_equilibrium_tiny_stocking_against_oracle(r, h, tag):
     assert y == pytest.approx(expected, rel=4e-16)
     assert equilibria_grid(np.array([r]), np.array([h]))[0] == pytest.approx(expected, rel=4e-16)
     assert certify_constant(ModelParams.constant(r, h)).tag is tag
+
+
+# past r of about 710, the bracket end h + e^{r-1} + 1 overflows a float
+@pytest.mark.parametrize("r, h", [(800.0, 1.0), (800.0, 900.0), (750.0, 1e-9)])
+def test_equilibrium_past_exp_overflow_against_findroot(r, h):
+    # mp_equilibrium's fixed 200 halvings cannot narrow a bracket as wide as
+    # e^{r-1}, so the oracle here is mpmath's own root finder
+    R, H = mp.mpf(r), mp.mpf(h)
+    expected = float(mp.findroot(lambda y: y - y * mp.e ** (R - y) - H, max(R, H) + 1))
+    assert solve_equilibrium(ModelParams.constant(r, h)).y_bar == pytest.approx(expected, rel=4e-16)
+    assert equilibria_grid(np.array([r]), np.array([h]))[0] == pytest.approx(expected, rel=4e-16)
 
 
 def test_equilibrium_zero_stocking_limit():
@@ -208,6 +220,28 @@ def test_threshold_rejects_nonpositive():
 # ---------------------------------------------------------------------------
 # intersections / feasibility / certification
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r, h", [
+    (2.0, 2.6), (2.0, 0.7), (2.0, 3.0), (1.1995871901336117, 1.2145055622368421),
+])
+def test_intersection_grid_signs_match_scalar_loop(r, h):
+    # the array scan may differ from math.exp in the last bit, but it must
+    # pick the same brackets as the scalar s(t) = g1(g1(t)) - t
+    def s(t):
+        inner = _g1(t, r, h)
+        if inner <= r:
+            return math.nan
+        return _g1(inner, r, h) - t
+
+    ts = r + np.geomspace(1e-9, 40.0, 4096)
+    scalar = np.array([s(float(t)) for t in ts])
+    vector = _intersection_residual_grid(ts, r, h)
+    # g1 decays to h, so g1(t) <= r on the far grid exactly when h < r
+    assert np.isnan(scalar).any() == (h < r)
+    assert np.array_equal(np.isnan(vector), np.isnan(scalar))
+    assert np.array_equal(np.sign(vector), np.sign(scalar), equal_nan=True)
+    np.testing.assert_allclose(vector, scalar, rtol=1e-12, atol=1e-12)
 
 
 def test_intersections_single_point_cases():

@@ -17,6 +17,7 @@ from ricker_lab.periodic import (
     RULE_CYCLE_LAS,
     RULE_CYCLE_UNSTABLE,
     RULE_DET_BELOW_ONE,
+    _artificial_residuals,
     _cycle_residuals,
     _orbit_bounds,
     _reduced_residual,
@@ -101,6 +102,21 @@ def test_reduced_residual_grid_signs_match_scalar_loop(key):
     assert (scalar == 1e18).any() and (vector == 1e18).any()
     assert np.array_equal(np.sign(vector), np.sign(scalar))
     np.testing.assert_allclose(vector, scalar, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("key", [(1.0, 2.0, 1.0), (1.0, 2.0, 1.5), (0.5, 3.0, 0.6), (3.0, 2.0, 6.444)])
+def test_artificial_residuals_match_plain_formula(key):
+    # the surfaces are built in place; the values must be those of the
+    # plain expressions, bit for bit
+    r, h0, h1 = key
+    x_max, y_max = _orbit_bounds(r, h0, h1)
+    X = (h1 + np.geomspace(1e-9, x_max - h1, 257))[:, None]
+    Y = (h0 + np.geomspace(1e-9, y_max - h0, 263))[None, :]
+    P = X * np.exp(r - Y) + h0
+    Q = Y * np.exp(r - X) + h1
+    R1, R2 = _artificial_residuals(X, Y, r, h0, h1)
+    assert np.array_equal(R1, P * np.exp(r - Q) - X + h1)
+    assert np.array_equal(R2, Q * np.exp(r - P) - Y + h0)
 
 
 def test_two_cycle_requires_two_periodic():
