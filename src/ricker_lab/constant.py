@@ -28,7 +28,6 @@ from .verdicts import (
 )
 
 _MARGINAL_BAND = 1e-10
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -79,31 +78,19 @@ def thresholds(h: float) -> ThresholdSet:
     return ThresholdSet(r1=r1, h_star=h_star, r2=r2)
 
 
-def _upper_end(r: float, h: float) -> float:
-    """An upper bracket end for the equilibrium, where phi(y) >= 0.
-
-    h + e^{r-1} + 1 works because y e^{r-y} is at most e^{r-1}.  Where that
-    overflows, max(r + ln 2, 2h) works instead: past r + ln 2, e^{r-y} <= 1/2,
-    so phi(y) >= y/2 - h, which is nonnegative from 2h on.
-    """
-    try:
-        hi = h + math.exp(r - 1.0) + 1.0
-    except OverflowError:
-        hi = math.inf
-    return hi if math.isfinite(hi) else max(r + _LN2, 2.0 * h)
-
-
 def _equilibrium_root(r: float, h: float) -> float:
-    """Root of y - y e^{r-y} - h on (max(r, h), `_upper_end(r, h)`].
+    """Root of y - y e^{r-y} - h on (max(r, h), r + h + 1].
 
     Bisection on the guaranteed bracket, then one Newton polish.  The lower
-    end is negative because the equilibrium exceeds both r and h.
+    end is negative because the equilibrium exceeds both r and h; the upper
+    end is positive because r + h + 1 <= (r + 1)(h + 1) and
+    (h + 1) e^{-(h+1)} <= 1/e give phi(r + h + 1) >= (r + 1)(1 - 1/e).
     """
     if h == 0.0:
         return r
     phi = lambda y: y - y * math.exp(r - y) - h
     lo = max(r, h)
-    hi = _upper_end(r, h)
+    hi = r + h + 1.0
     flo, fhi = phi(lo), phi(hi)
     if flo > 0.0 or fhi < 0.0:
         raise BracketFailure(f"equilibrium bracket failed for r={r}, h={h}: ({flo}, {fhi})")
@@ -142,10 +129,7 @@ def equilibria_grid(r: np.ndarray, h: np.ndarray, iters: int = 90) -> np.ndarray
     r = np.asarray(r, dtype=float)
     h = np.asarray(h, dtype=float)
     lo = np.maximum(r, h)
-    with np.errstate(over="ignore"):
-        hi = h + np.exp(r - 1.0) + 1.0
-    # the fallback end of `_upper_end` wherever this one overflows
-    hi = np.where(np.isfinite(hi), hi, np.maximum(r + _LN2, 2.0 * h))
+    hi = r + h + 1.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         neg = mid - mid * np.exp(r - mid) - h <= 0.0

@@ -24,7 +24,9 @@ from ._roots import bisect, newton_2d
 from .embedding import BoxRegion, build_folded_embedding
 from .errors import (
     ContradictionDetected,
+    CountMismatch,
     NonConvergence,
+    PreconditionViolated,
     WitnessConstructionFailed,
 )
 from .model import ModelParams, QuadPoint, planar_maps
@@ -72,9 +74,16 @@ def _require_two_periodic(params: ModelParams) -> tuple[float, float, float]:
 
 def _orbit_bounds(r: float, h0: float, h1: float) -> tuple[float, float]:
     """Two-step trapping bounds: even terms below (e^r + h0)e^r + h1, odd
-    terms below the swapped expression."""
-    er = math.exp(r)
-    return (er + h0) * er + h1, (er + h1) * er + h0
+    terms below the swapped expression.  Raises PreconditionViolated where
+    they overflow, as for r above about 355."""
+    try:
+        er = math.exp(r)
+    except OverflowError:
+        er = math.inf
+    x_max, y_max = (er + h0) * er + h1, (er + h1) * er + h0
+    if not (math.isfinite(x_max) and math.isfinite(y_max)):
+        raise PreconditionViolated(f"the trapping bounds overflow for r={r}, h=({h0}, {h1})")
+    return x_max, y_max
 
 
 def _cycle_system(z0: float, z1: float, r: float, h0: float, h1: float):
@@ -86,10 +95,6 @@ def _cycle_system(z0: float, z1: float, r: float, h0: float, h1: float):
 
 def _cycle_residuals(z0: float, z1: float, r: float, h0: float, h1: float) -> tuple[float, float]:
     return _cycle_system(z0, z1, r, h0, h1)[:2]
-
-
-def _newton_polish_cycle(z0: float, z1: float, r: float, h0: float, h1: float):
-    return newton_2d(lambda z0, z1: _cycle_system(z0, z1, r, h0, h1), z0, z1)
 
 
 def _reduced_z1(z0: float, r: float, h1: float) -> float:
@@ -126,8 +131,13 @@ def _scan_cycle_roots(r: float, h0: float, h1: float, n_grid: int = 4096) -> lis
     """
     x_max, y_max = _orbit_bounds(r, h0, h1)
     hi_cap = min(x_max, max(h1 + 2.0, r + math.log(y_max + 1.0) + 2.0))
-    grid = h1 + np.geomspace(1e-9, hi_cap - h1, n_grid)
+    # z0 - h1 = z1 e^{r - z0} falls below 1e-9 when h1 is far above r; the
+    # residual is negative next to h1, so one point at its float resolution
+    # brackets such a root
+    offsets = np.geomspace(1e-9, hi_cap - h1, n_grid)
+    grid = h1 + np.concatenate(([min(math.ulp(h1), 1e-9)], offsets))
     sign = np.sign(_reduced_residual_grid(grid, r, h0, h1, y_max))
+    system = lambda z0, z1: _cycle_system(z0, z1, r, h0, h1)
     roots: list[tuple[float, float]] = []
     for i in np.where(np.diff(sign) != 0)[0]:
         lo, hi = float(grid[i]), float(grid[i + 1])
@@ -135,7 +145,7 @@ def _scan_cycle_roots(r: float, h0: float, h1: float, n_grid: int = 4096) -> lis
         if not math.isfinite(flo):
             continue
         z0 = bisect(lambda t: flo * _reduced_residual(t, r, h0, h1, y_max) > 0.0, lo, hi)
-        z0, z1 = _newton_polish_cycle(z0, _reduced_z1(z0, r, h1), r, h0, h1)
+        z0, z1 = newton_2d(system, z0, _reduced_z1(z0, r, h1))
         q1, q2 = _cycle_residuals(z0, z1, r, h0, h1)
         if max(abs(q1), abs(q2)) < _RESIDUAL_TOL and z0 > h1 and z1 > h0:
             if not any(abs(z0 - a) < 1e-6 and abs(z1 - b) < 1e-6 for a, b in roots):
@@ -143,50 +153,25 @@ def _scan_cycle_roots(r: float, h0: float, h1: float, n_grid: int = 4096) -> lis
     return sorted(roots)
 
 
-def _folded_iterate(r: float, h0: float, h1: float, max_steps: int = 4000):
-    """Iterate the two-step composition; converges when the 2-cycle attracts."""
-    x = h1 + math.exp(r - 1.0)
-    y = h0 + math.exp(r - 1.0)
-    for _ in range(max_steps):
-        nx0 = x * math.exp(r - y) + h0
-        nx = nx0 * math.exp(r - x) + h1
-        ny = nx0
-        if not (math.isfinite(nx) and math.isfinite(ny)):
-            return None
-        if abs(nx - x) + abs(ny - y) < 1e-13 * (1.0 + abs(nx) + abs(ny)):
-            return nx, ny
-        x, y = nx, ny
-    return None
-
-
 def solve_two_cycle(params: ModelParams) -> TwoCycleReport:
     """Solve the 2-cycle equations and classify it with Jury's test.
 
-    Fast path: iterate the folded composition, which settles whenever the
-    2-cycle is attracting.  Fallback for unstable cycles: a sign scan of the
-    scalar reduction followed by a damped Newton polish of the 2D residuals.
+    One sign scan of the scalar reduction locates the 2-cycle, stable or
+    not, and a damped Newton polish of the 2D residuals refines it.  The
+    scan must find exactly one admissible root.
     """
     r, h0, h1 = _require_two_periodic(params)
-    pair = None
-    it = _folded_iterate(r, h0, h1)
-    if it is not None:
-        # the folded limit is (z0, z1) up to phase; pick the assignment that
-        # satisfies the cycle equations
-        for cand in (it, (it[1], it[0])):
-            z0, z1 = _newton_polish_cycle(cand[0], cand[1], r, h0, h1)
-            q = _cycle_residuals(z0, z1, r, h0, h1)
-            if max(abs(q[0]), abs(q[1])) < _RESIDUAL_TOL and z0 > h1 and z1 > h0:
-                pair = (z0, z1)
-                break
-    if pair is None:
-        roots = _scan_cycle_roots(r, h0, h1)
-        if not roots:
-            raise NonConvergence(
-                f"no 2-cycle found for r={r}, h=({h0}, {h1}); scan produced no sign change"
-            )
-        pair = roots[0]
+    roots = _scan_cycle_roots(r, h0, h1)
+    if not roots:
+        raise NonConvergence(
+            f"no 2-cycle found for r={r}, h=({h0}, {h1}); scan produced no sign change"
+        )
+    if len(roots) > 1:
+        raise CountMismatch(
+            f"{len(roots)} 2-cycles found for r={r}, h=({h0}, {h1}); expected one"
+        )
 
-    z0, z1 = pair
+    z0, z1 = roots[0]
     q1, q2 = _cycle_residuals(z0, z1, r, h0, h1)
     # a zero product is rounding: with both residuals under _RESIDUAL_TOL,
     # z0 == z1 forces |h0 - h1| below twice that, as for h0, h1 an ulp apart

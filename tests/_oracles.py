@@ -50,6 +50,15 @@ def mp_two_cycle(r, h0, h1, z0_lo, z0_hi) -> tuple[mp.mpf, mp.mpf]:
     return z0, z1_of(z0)
 
 
+def mp_two_cycle_near(r, h0, h1, z0) -> tuple[mp.mpf, mp.mpf]:
+    """High-precision 2-cycle from mpmath's root finder on the scalar
+    reduction, started at z0."""
+    r, h0, h1 = mp.mpf(r), mp.mpf(h0), mp.mpf(h1)
+    z1_of = lambda z0: (z0 - h1) * mp.e ** (z0 - r)
+    root = mp.findroot(lambda z0: z1_of(z0) - h0 - z0 * mp.e ** (r - z1_of(z0)), mp.mpf(z0))
+    return root, z1_of(root)
+
+
 def orbit_batch(r: float, stocking, x0: np.ndarray, xm1: np.ndarray, n_steps: int,
                 keep_last: int = 0) -> np.ndarray:
     """Vectorized orbits for many initial conditions at once.

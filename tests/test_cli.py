@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,31 @@ def test_growth_rate_past_exp_overflow(capsys):
     code, out, _ = run(capsys, "certify", "--r", "800", "--h", "900", "--json")
     assert code == 0
     assert json.loads(out)["verdict"] == "GloballyStable"
+
+
+def test_constant_sweep_at_large_growth_rates(capsys, tmp_path):
+    out_path = tmp_path / "c.csv"
+    code, _, _ = run(capsys, "sweep", "--mode", "constant", "--h-lo", "1", "--h-hi", "900", "--nh", "2",
+                     "--r-lo", "700", "--r-hi", "800", "--nr", "3", "--out", str(out_path))
+    assert code == 0
+    rows = list(csv.DictReader(out_path.open()))
+    assert len(rows) == 6
+    for row in rows:
+        h, r = float(row["h"]), float(row["r"])
+        assert float(row["y_bar"]) >= max(r, h)
+        assert row["verdict"] == certify_constant(ModelParams.constant(r, h)).tag.value
+
+
+@pytest.mark.parametrize("r", ["400", "800"])
+@pytest.mark.parametrize("argv", [("two-cycle", "--h0", "1", "--h1", "2"),
+                                  ("certify", "--h0", "900", "--h1", "901")], ids=["two-cycle", "certify"])
+def test_periodic_trapping_bound_overflow_is_a_typed_error(capsys, argv, r):
+    # below r of about 710 the bounds overflow to inf, above it e^r itself does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *argv, "--r", r)
+    assert code == 3
+    assert "trapping bounds overflow" in err and "Traceback" not in err
 
 
 def test_orbit_csv_single_row(capsys):
@@ -315,9 +341,14 @@ def test_sweep_periodic_not_applicable_region(capsys, tmp_path):
             assert tag in ("GloballyStable", "AbsorbingBox")
 
 
-# `sweep --mode periodic` over the README plane at 10x10, captured from the
-# row-parallel implementation: 32 GloballyStable, 10 AbsorbingBox and 58
-# NotApplicable cells, 18 of them solved by the unstable-cycle scan.
+# `sweep --mode periodic` over the README plane at 10x10: 32 GloballyStable,
+# 10 AbsorbingBox and 58 NotApplicable cells.  Regenerate it with
+#
+#     PYTHONPATH=src python -m ricker_lab sweep --mode periodic --r 1 \
+#         --h0-lo 0.3 --h0-hi 3 --nh0 10 --h1-lo 0.3 --h1-hi 3 --nh1 10 \
+#         --art-grid 128 --out tests/data/sweep_periodic_r1_10x10.csv
+#
+# only on purpose, and say in the change log which rows moved and why.
 GOLDEN_PERIODIC = Path(__file__).parent / "data" / "sweep_periodic_r1_10x10.csv"
 
 

@@ -14,7 +14,7 @@ from ricker_lab import (
     solve_equilibrium,
     thresholds,
 )
-from ricker_lab.constant import _g1, _intersection_residual_grid, equilibria_grid
+from ricker_lab.constant import _equilibrium_root, _g1, _intersection_residual_grid, equilibria_grid
 from ricker_lab.errors import Infeasible
 
 from _oracles import mp_equilibrium, orbit_batch
@@ -66,7 +66,7 @@ def test_equilibrium_tiny_stocking_against_oracle(r, h, tag):
     assert certify_constant(ModelParams.constant(r, h)).tag is tag
 
 
-# past r of about 710, the bracket end h + e^{r-1} + 1 overflows a float
+# past r of about 710, e^{r-1} overflows a float
 @pytest.mark.parametrize("r, h", [(800.0, 1.0), (800.0, 900.0), (750.0, 1e-9)])
 def test_equilibrium_past_exp_overflow_against_findroot(r, h):
     # mp_equilibrium's fixed 200 halvings cannot narrow a bracket as wide as
@@ -75,6 +75,13 @@ def test_equilibrium_past_exp_overflow_against_findroot(r, h):
     expected = float(mp.findroot(lambda y: y - y * mp.e ** (R - y) - H, max(R, H) + 1))
     assert solve_equilibrium(ModelParams.constant(r, h)).y_bar == pytest.approx(expected, rel=4e-16)
     assert equilibria_grid(np.array([r]), np.array([h]))[0] == pytest.approx(expected, rel=4e-16)
+
+
+@pytest.mark.parametrize("r", [80.0, 200.0, 700.0, 750.0])
+def test_equilibria_grid_equals_scalar_root_at_large_growth_rates(r):
+    # a fixed count of halvings cannot narrow an e^{r-1}-wide bracket; the
+    # r + h + 1 end is never wider than about twice the root
+    assert equilibria_grid(np.array([r]), np.array([1.0]))[0] == _equilibrium_root(r, 1.0)
 
 
 def test_equilibrium_zero_stocking_limit():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,6 +14,8 @@ from ricker_lab import (
     find_artificial_cycles,
     solve_two_cycle,
 )
+from ricker_lab import periodic
+from ricker_lab.errors import CountMismatch
 from ricker_lab.periodic import (
     RULE_CYCLE_LAS,
     RULE_CYCLE_UNSTABLE,
@@ -24,7 +27,7 @@ from ricker_lab.periodic import (
     _reduced_residual_grid,
 )
 
-from _oracles import mp_two_cycle, orbit_batch
+from _oracles import mp_two_cycle, mp_two_cycle_near, orbit_batch
 
 # frozen 40-digit oracle values (z0 = limit of even terms, z1 = odd terms)
 CYCLES = {
@@ -80,14 +83,48 @@ def test_two_cycle_reports_match_reference_stable_cases():
     assert rep3.local_verdict is LocalVerdict.UNSTABLE
 
 
-def test_two_cycle_unstable_case_solved_by_fallback():
-    # period-doubled regime: the folded iteration cannot settle, the scan must
+def test_two_cycle_unstable_case():
+    # period-doubled regime: the 2-cycle repels, and the scan still finds it
     rep = solve_two_cycle(params_of((3.0, 2.0, 6.444)))
     assert rep.local_verdict is LocalVerdict.UNSTABLE
     assert rep.det < 1.0  # determinant alone does not decide stability here
     lam = sorted(rep.eigenvalues, key=abs)
     assert lam[0].imag == 0.0
     assert abs(lam[1]) > 2.0
+
+
+def test_two_cycle_within_two_ulps_of_mpmath():
+    # the README plane at 10x10 plus seeded random points; the scan's bracket
+    # and the Newton polish leave the last bits, which no golden file pins
+    axis = np.linspace(0.3, 3.0, 10)
+    points = [(1.0, float(a), float(b)) for a in axis for b in axis if a != b]
+    rng = np.random.default_rng(2061)
+    points += [
+        (float(r), float(h0), float(h1))
+        for r, h0, h1 in zip(rng.uniform(0.3, 4.5, 150), rng.uniform(0.0, 9.0, 150),
+                             rng.uniform(0.0, 9.0, 150))
+    ]
+    # h1 far above r: z0 - h1 = z1 e^{r - z0}, about 1e-12, lies far below
+    # the scan's 1e-9 grid start
+    points += [(1.0, 9.0, 30.0), (1.0, 30.0, 9.0), (0.5, 8.7, 31.7)]
+    verdicts = set()
+    for r, h0, h1 in points:
+        rep = solve_two_cycle(ModelParams(r=r, stocking=(h0, h1)))
+        verdicts.add(rep.local_verdict)
+        z0, z1 = mp_two_cycle_near(r, h0, h1, rep.z0)
+        for got, want in ((rep.z0, z0), (rep.z1, z1)):
+            ulps = float(abs(mp.mpf(got) - want)) / math.ulp(float(want))
+            assert ulps <= 2.0, ((r, h0, h1), got, want)
+    assert verdicts == {LocalVerdict.LAS, LocalVerdict.UNSTABLE}
+
+
+def test_two_cycle_rejects_a_second_root(monkeypatch):
+    key = (3.0, 2.0, 6.444)
+    root = periodic._scan_cycle_roots(*key)[0]
+    monkeypatch.setattr(periodic, "_scan_cycle_roots",
+                        lambda r, h0, h1: [root, (root[0] + 1.0, root[1] + 1.0)])
+    with pytest.raises(CountMismatch, match="2 2-cycles"):
+        solve_two_cycle(params_of(key))
 
 
 @pytest.mark.parametrize("key", [(3.0, 2.0, 6.444), (1.5, 0.820, 1.800), (4.2, 0.05, 8.7), (2.5, 7.0, 0.0)])
