@@ -5,17 +5,19 @@ preserves a southeast-type order.  Iterating G from the two corners of a
 compatible box produces monotone orbits whose limits are fixed points of G
 enclosing every orbit of the original system that enters the box.
 """
-import math
-
 from ricker_lab import (
     BoxRegion,
+    ModelParams,
     build_embedding,
     corner_iterate,
     label_embedded_fixed_point,
+    planar_maps,
     se_leq,
 )
 
-F = lambda x, y: x * math.exp(2.0 - y) + 3.0
+# F(x, y) = x e^{2 - y} + 3.  A map from planar_maps is monotone by proof, so
+# corner_iterate does not sample it; a hand-written lambda would be sampled.
+F, = planar_maps(ModelParams.constant(2.0, 3.0))
 G = build_embedding(F)
 
 # --- the order --------------------------------------------------------------
@@ -34,7 +36,7 @@ print("  single point:", enc.is_point(1e-9),
 # --- enclosure splitting into a pseudo pair (h = 2.6) -----------------------
 # Here the fixed-point curves of G cross off the diagonal, the corner limits
 # separate, and the enclosure is a genuine box rather than a point.
-F26 = lambda x, y: x * math.exp(2.0 - y) + 2.6
+F26, = planar_maps(ModelParams.constant(2.0, 2.6))
 G26 = build_embedding(F26)
 enc26 = corner_iterate(G26, BoxRegion(2.3, 8.0), require_compatible=False)
 print(f"\nh=2.6 box (2.3, 8): converged in {enc26.iterations} steps")

@@ -5,7 +5,9 @@ absorbing boxes from artificial cycles, orbit classification, and
 eigenvalue-modulus scans.
 """
 
-from .model import ModelParams, PlanarPoint, QuadPoint, density_f, step, vector_step, planar_maps, vector_maps
+from .model import (
+    ModelParams, PlanarPoint, QuadPoint, RickerMap, density_f, step, vector_step, planar_maps, vector_maps,
+)
 from .embedding import (
     BoxRegion,
     EmbeddedFixedPoint,
@@ -61,7 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModelParams", "PlanarPoint", "QuadPoint", "density_f", "step", "vector_step",
-    "planar_maps", "vector_maps",
+    "planar_maps", "vector_maps", "RickerMap",
     "BoxRegion", "Enclosure", "EmbeddedFixedPoint", "EmbeddedPointKind",
     "FoldedFixedPointKind", "build_embedding", "classify_folded_fixed_point",
     "corner_iterate", "fold_cyclic", "fold_period2", "label_embedded_fixed_point",

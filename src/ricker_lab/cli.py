@@ -17,6 +17,7 @@ import numpy as np
 
 from .constant import (
     _constant_tag,
+    _local_verdict,
     certify_constant,
     equilibria_grid,
     solve_equilibrium,
@@ -26,7 +27,7 @@ from .errors import RickerLabError
 from .model import ModelParams
 from .orbits import neimark_sacker_scan, simulate
 from .periodic import _certify_periodic, find_artificial_cycles, solve_two_cycle
-from .verdicts import VerdictTag
+from .verdicts import LocalVerdict, VerdictTag
 
 
 def _fmt(x: float) -> str:
@@ -209,7 +210,7 @@ def _sweep_constant_row(h: float, r_vals: np.ndarray) -> list[str]:
     for r, y in zip(r_vals, y_row):
         tag = _constant_tag(float(r), h, ts, float(y))
         note = ""
-        if abs(float(y) - (1.0 + h)) < 1e-8:
+        if _local_verdict(float(r), float(y), band=1e-8) is LocalVerdict.MARGINAL:
             note = "near local-stability boundary"
         rows.append(
             f"{_fmt(h)},{_fmt(float(r))},{tag.value},{_fmt(float(y))},"

@@ -74,7 +74,11 @@ def thresholds(h: float) -> ThresholdSet:
         raise ValueError(f"thresholds are defined for h > 0, got {h!r}")
     r1 = h + 1.0 - math.log(h + 1.0)
     h_star = 0.5 * (h + math.sqrt(h * h + 4.0 * h))
-    r2 = h_star + math.log(h_star - h) - math.log(h_star)
+    gap = h_star - h
+    if gap <= 0.0:
+        # h_star - h rounds to 0 from h = 2^53 on; this form does not cancel
+        gap = 2.0 * h / (h + math.sqrt(h * h + 4.0 * h))
+    r2 = h_star + math.log(gap) - math.log(h_star)
     return ThresholdSet(r1=r1, h_star=h_star, r2=r2)
 
 
@@ -102,6 +106,18 @@ def _equilibrium_root(r: float, h: float) -> float:
     return y
 
 
+def _local_verdict(r: float, y: float, band: float = _MARGINAL_BAND) -> LocalVerdict:
+    """Jury verdict at the equilibrium y, Marginal within `band` of det = 1.
+
+    The determinant is y - h, which cancels once h dwarfs it; at the
+    equilibrium it equals y e^{r-y}, which does not.
+    """
+    excess = y * math.exp(r - y) - 1.0
+    if abs(excess) < band:
+        return LocalVerdict.MARGINAL
+    return LocalVerdict.LAS if excess < 0.0 else LocalVerdict.UNSTABLE
+
+
 def solve_equilibrium(params: ModelParams) -> EquilibriumReport:
     """Equilibrium report for constant stocking (p = 1, h >= 0)."""
     if params.p != 1:
@@ -111,12 +127,7 @@ def solve_equilibrium(params: ModelParams) -> EquilibriumReport:
     trace = 1.0 - h / y
     det = y - h
     eig = eigenvalues_from_trace_det(trace, det)
-    if abs(y - (1.0 + h)) < _MARGINAL_BAND:
-        verdict = LocalVerdict.MARGINAL
-    elif y < 1.0 + h:
-        verdict = LocalVerdict.LAS
-    else:
-        verdict = LocalVerdict.UNSTABLE
+    verdict = _local_verdict(r, y)
     residual = abs(y - y * math.exp(r - y) - h)
     return EquilibriumReport(
         y_bar=y, trace=trace, det=det, eigenvalues=eig,
@@ -261,7 +272,7 @@ def _constant_tag(r: float, h: float, ts: ThresholdSet, y_bar: float) -> Verdict
     """
     if r <= ts.r2:
         return VerdictTag.GLOBALLY_STABLE
-    if y_bar > 1.0 + h + _MARGINAL_BAND:
+    if _local_verdict(r, y_bar) is LocalVerdict.UNSTABLE:
         return VerdictTag.UNSTABLE
     if r < h:
         return VerdictTag.ABSORBING_BOX

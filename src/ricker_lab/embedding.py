@@ -33,7 +33,7 @@ from .errors import (
     NotAFixedPoint,
     PreconditionViolated,
 )
-from .model import PlanarMap, QuadPoint
+from .model import PlanarMap, QuadPoint, RickerMap
 
 QuadMap = Callable[[Sequence[float]], QuadPoint]
 
@@ -68,21 +68,39 @@ class BoxRegion:
         return all(self.a <= c <= self.b for c in point)
 
 
+def _order_proven(F: PlanarMap) -> bool:
+    """Whether F is a RickerMap whose embedding is southeast-monotone on the
+    quadrant by the embedding lemma: F rises in x and, for x >= 0, falls in
+    y, and F >= h >= 0 keeps every image inside the quadrant."""
+    return isinstance(F, RickerMap) and math.isfinite(F.r) and F.h >= 0.0
+
+
 def build_embedding(F: PlanarMap) -> QuadMap:
-    """Lift a planar map to the 4D embedded map G(x,y,u,v) = (F(x,y), u, F(u,v), x)."""
+    """Lift a planar map to the 4D embedded map G(x,y,u,v) = (F(x,y), u, F(u,v), x).
+
+    A G built from a `model.RickerMap` is marked as proven monotone, which
+    lets `corner_iterate` skip sampling it.
+    """
 
     def G(q: Sequence[float]) -> QuadPoint:
         x, y, u, v = q
         return QuadPoint(F(x, y), u, F(u, v), x)
 
+    G._proven_monotone = _order_proven(F)
     return G
 
 
 def build_folded_embedding(f0: PlanarMap, f1: PlanarMap) -> QuadMap:
-    """The folded embedded map G1 o G0 of the 2-periodic pair (f0, f1)."""
+    """The folded embedded map G1 o G0 of the 2-periodic pair (f0, f1),
+    marked as proven monotone when both maps are."""
     g0 = build_embedding(f0)
     g1 = build_embedding(f1)
-    return lambda q: g1(g0(q))
+
+    def G(q: Sequence[float]) -> QuadPoint:
+        return g1(g0(q))
+
+    G._proven_monotone = g0._proven_monotone and g1._proven_monotone
+    return G
 
 
 def box_compatible(G: QuadMap, box: BoxRegion) -> bool:
@@ -100,6 +118,8 @@ def sample_monotone(G: QuadMap, box: BoxRegion, samples: int, seed: int = 0) -> 
 
     The map is not proven monotone, only sampled: `samples` southeast-ordered
     pairs are drawn and a single violation aborts with NonMonotoneDetected.
+    `corner_iterate` runs this for user-supplied maps; embeddings built from
+    `model.planar_maps` are monotone by proof and are not sampled.
     """
     rng = np.random.default_rng(seed)
     a, b = box.a, box.b
@@ -157,6 +177,12 @@ def corner_iterate(
     only become compatible after a transient); per-step monotonicity is then
     not enforced, only the lower <= upper sandwich.
 
+    Unless G embeds `model.RickerMap`s (as `model.planar_maps` builds them)
+    and a >= 0, where the embedding lemma proves it monotone,
+    `monotone_samples` ordered pairs are first checked by `sample_monotone`.
+    The per-step order and crossing checks run for every G; they guard the
+    float orbits actually computed.
+
     Stops when both corner orbits move less than `tol` in sup norm, or after
     `max_iter` steps (converged=False, or MaxIterExceeded when
     `raise_on_max_iter` is set).
@@ -167,7 +193,8 @@ def corner_iterate(
             f"box ({box.a}, {box.b}) fails (a,b) <= (F(a,b), F(b,a)) southeast; "
             "pass require_compatible=False to iterate anyway"
         )
-    if monotone_samples > 0:
+    proven = getattr(G, "_proven_monotone", False) and box.a >= 0.0
+    if monotone_samples > 0 and not proven:
         sample_monotone(G, box, monotone_samples, seed=seed)
 
     lower: Sequence[float] = QuadPoint(box.a, box.b, box.b, box.a)

@@ -116,14 +116,25 @@ PlanarMap = Callable[[float, float], float]
 VectorMap = Callable[[float, float], tuple[float, float]]
 
 
-def planar_maps(params: ModelParams) -> list[PlanarMap]:
+@dataclass(frozen=True, slots=True)
+class RickerMap:
+    """The planar map F(x, y) = x e^{r - y} + h.
+
+    dF/dx = e^{r-y} > 0 and, for x >= 0, dF/dy = -x e^{r-y} <= 0, so the
+    embeddings built from such maps preserve the southeast order on the
+    quadrant by construction (see `embedding.corner_iterate`).
+    """
+
+    r: float
+    h: float
+
+    def __call__(self, x: float, y: float) -> float:
+        return x * math.exp(self.r - y) + self.h
+
+
+def planar_maps(params: ModelParams) -> list[RickerMap]:
     """The family F_j(x, y) = x f(y) + h_j for j = 0..p-1."""
-    r = params.r
-
-    def make(hj: float) -> PlanarMap:
-        return lambda x, y: x * math.exp(r - y) + hj
-
-    return [make(hj) for hj in params.stocking]
+    return [RickerMap(params.r, hj) for hj in params.stocking]
 
 
 def vector_maps(params: ModelParams) -> list[VectorMap]:

@@ -177,12 +177,12 @@ def neimark_sacker_scan(
     for i in range(steps - 1):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
             bracket = (float(grid[i]), float(grid[i + 1]))
+            flo = vals[i]
             break
     if bracket is None:
         raise NoCrossing(
             f"eigenvalue modulus stays on one side of 1 over [{s_lo}, {s_hi}]"
         )
-    flo = excess(bracket[0])
     s_star = bisect(lambda s: flo * excess(s) > 0.0, *bracket, width=refine_width)
     params = family(s_star)
     modulus, lead = _modulus_at(params)

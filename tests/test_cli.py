@@ -135,6 +135,16 @@ def test_growth_rate_past_exp_overflow(capsys):
     assert json.loads(out)["verdict"] == "GloballyStable"
 
 
+def test_huge_stocking_gets_a_verdict(capsys):
+    code, out, _ = run(capsys, "equilibrium", "--r", "2", "--h", "1e17", "--json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "LAS"
+    code, out, _ = run(capsys, "certify", "--r", "2", "--h", "1e16", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "GloballyStable" and payload["local"] == "LAS"
+
+
 def test_constant_sweep_at_large_growth_rates(capsys, tmp_path):
     out_path = tmp_path / "c.csv"
     code, _, _ = run(capsys, "sweep", "--mode", "constant", "--h-lo", "1", "--h-hi", "900", "--nh", "2",

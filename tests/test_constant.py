@@ -217,6 +217,28 @@ def test_marginal_verdict_on_the_boundary():
         assert abs(rep.y_bar - (1.0 + h)) < 1e-10
 
 
+def mp_r2(h):
+    with mp.workdps(50):
+        h = mp.mpf(h)
+        h_star = (h + mp.sqrt(h * h + 4 * h)) / 2
+        return float(h_star + mp.log(h_star - h) - mp.log(h_star))
+
+
+@pytest.mark.parametrize("h", [1e16, 1e17])
+def test_threshold_r2_at_huge_stocking_against_mpmath(h):
+    # h_star - h rounds to 0 from h = 2^53 on; r2 must still be finite and right
+    r2 = thresholds(h).r2
+    assert abs(r2 - mp_r2(h)) <= 2 * math.ulp(r2)
+
+
+@pytest.mark.parametrize("h", [1e16, 1e17])
+def test_local_verdict_at_huge_stocking(h):
+    # y - (1 + h) rounds to 0 here, but det = y e^{r-y} is about 0, far below 1
+    rep = solve_equilibrium(ModelParams.constant(2.0, h))
+    assert rep.local_verdict is LocalVerdict.LAS
+    assert certify_constant(ModelParams.constant(2.0, h)).tag is VerdictTag.GLOBALLY_STABLE
+
+
 def test_threshold_rejects_nonpositive():
     with pytest.raises(ValueError):
         thresholds(0.0)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from ricker_lab import (
     BoxRegion,
     FoldedFixedPointKind,
@@ -13,10 +15,12 @@ from ricker_lab import (
     fold_cyclic,
     fold_period2,
     label_embedded_fixed_point,
+    planar_maps,
     se_leq,
     simulate,
 )
-from ricker_lab.embedding import EmbeddedPointKind, box_compatible
+from ricker_lab import embedding
+from ricker_lab.embedding import EmbeddedPointKind, box_compatible, build_folded_embedding
 from ricker_lab.errors import (
     MaxIterExceeded,
     NonMonotoneDetected,
@@ -192,6 +196,65 @@ def test_non_monotone_map_detected():
     G = build_embedding(bad)
     with pytest.raises(NonMonotoneDetected):
         corner_iterate(G, BoxRegion(0.0, 1.0), require_compatible=False)
+
+
+def _refuse_to_sample(*args, **kwargs):
+    raise AssertionError("sample_monotone ran on a proven-monotone embedding")
+
+
+@pytest.mark.parametrize("G, box", [
+    (build_embedding(planar_maps(ModelParams.constant(2.0, 3.0))[0]), BoxRegion(3.0, 6.0)),
+    (build_folded_embedding(*planar_maps(ModelParams.two_periodic(1.0, 2.0, 1.5))), BoxRegion(1.25, 9.05)),
+], ids=["plain", "folded"])
+def test_planar_maps_embeddings_are_not_sampled(monkeypatch, G, box):
+    unsampled = corner_iterate(G, box, monotone_samples=0)
+    monkeypatch.setattr(embedding, "sample_monotone", _refuse_to_sample)
+    enc = corner_iterate(G, box)
+    assert enc.converged and enc == unsampled
+
+
+def test_user_map_is_sampled_even_when_its_corner_orbits_stay_monotone():
+    # the dip breaks monotonicity only where both arguments lie in (4.2, 4.6);
+    # every pair the corner orbits evaluate has one argument on each side of
+    # the equilibrium 3.68, so only the sampling can catch it
+    dip = lambda x, y: ricker_map(2.0, 3.0)(x, y) - (100.0 if 4.2 < x < 4.6 and 4.2 < y < 4.6 else 0.0)
+    G = build_embedding(dip)
+    assert corner_iterate(G, BoxRegion(3.0, 6.0), monotone_samples=0).converged
+    with pytest.raises(NonMonotoneDetected):
+        corner_iterate(G, BoxRegion(3.0, 6.0))
+
+
+_COORD = st.floats(0.0, 200.0)
+
+
+@st.composite
+def _ordered_quads(draw):
+    """A southeast-ordered pair p <= q: coordinates 0 and 3 rise, 1 and 2
+    fall, each by nothing, by one ulp or by a drawn amount."""
+    p = tuple(draw(_COORD) for _ in range(4))
+    q = []
+    for c, rises in zip(p, (True, False, False, True)):
+        move = draw(st.sampled_from(("none", "ulp", "any")))
+        if move == "none":
+            q.append(c)
+        elif move == "ulp":
+            q.append(math.nextafter(c, math.inf if rises else 0.0))
+        else:
+            d = draw(_COORD)
+            q.append(max(c, d) if rises else min(c, d))
+    return p, tuple(q)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(r=st.floats(0.01, 50.0), h0=st.floats(0.0, 50.0), h1=st.floats(0.0, 50.0), pair=_ordered_quads())
+def test_planar_maps_embeddings_preserve_the_order_in_floats(r, h0, h1, pair):
+    # the float-level evidence behind skipping sample_monotone for these maps
+    p, q = pair
+    assert se_leq(p, q)
+    fs = planar_maps(ModelParams.two_periodic(r, h0, h1))  # one map when h0 == h1
+    f0, f1 = fs[0], fs[-1]
+    for G in (build_embedding(f0), build_folded_embedding(f0, f1)):
+        assert se_leq(G(p), G(q))
 
 
 def test_injectivity_on_samples():
