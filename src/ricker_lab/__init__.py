@@ -6,7 +6,7 @@ eigenvalue-modulus scans.
 """
 
 from .model import (
-    ModelParams, PlanarPoint, QuadPoint, RickerMap, density_f, step, vector_step, planar_maps, vector_maps,
+    ModelParams, PlanarPoint, QuadPoint, RickerMap, density_f, step, vector_step, planar_maps,
 )
 from .embedding import (
     BoxRegion,
@@ -55,7 +55,6 @@ from .verdicts import (
     eigenvalues_from_trace_det,
     jury_is_stable,
     jury_verdict,
-    spectral_radius,
 )
 from . import errors
 
@@ -63,7 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModelParams", "PlanarPoint", "QuadPoint", "density_f", "step", "vector_step",
-    "planar_maps", "vector_maps", "RickerMap",
+    "planar_maps", "RickerMap",
     "BoxRegion", "Enclosure", "EmbeddedFixedPoint", "EmbeddedPointKind",
     "FoldedFixedPointKind", "build_embedding", "classify_folded_fixed_point",
     "corner_iterate", "fold_cyclic", "fold_period2", "label_embedded_fixed_point",
@@ -77,6 +76,5 @@ __all__ = [
     "neimark_sacker_scan", "simulate",
     "ClassificationVerdict", "LocalVerdict", "VerdictTag",
     "eigenvalues_from_trace_det", "jury_is_stable", "jury_verdict",
-    "spectral_radius",
     "errors",
 ]

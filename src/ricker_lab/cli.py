@@ -228,11 +228,8 @@ def _sweep_periodic_cell(r: float, h0: float, h1: float, art_grid: int) -> str:
         )
     params = ModelParams(r=r, stocking=(h0, h1))
     report = solve_two_cycle(params)
-    if min(h0, h1) < r:
-        tag, note = VerdictTag.NOT_APPLICABLE, '"min(h0,h1) < r"'
-    else:
-        verdict = _certify_periodic(params, report, art_grid)
-        tag, note = verdict.tag, f"art-grid={art_grid}"
+    tag = _certify_periodic(params, report, art_grid).tag
+    note = '"min(h0,h1) < r"' if tag is VerdictTag.NOT_APPLICABLE else f"art-grid={art_grid}"
     return (
         f"{_fmt(h0)},{_fmt(h1)},{_fmt(r)},{tag.value},"
         f"{_fmt(report.z0)},{_fmt(report.z1)},{note}"

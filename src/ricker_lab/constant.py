@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._roots import bisect
-from .errors import BracketFailure, CountMismatch, Infeasible
+from .errors import BracketFailure, Infeasible
 from .model import ModelParams, PlanarPoint, planar_maps
 from .embedding import BoxRegion
 from .verdicts import (
@@ -73,11 +73,18 @@ def thresholds(h: float) -> ThresholdSet:
     if not math.isfinite(h) or h <= 0.0:
         raise ValueError(f"thresholds are defined for h > 0, got {h!r}")
     r1 = h + 1.0 - math.log(h + 1.0)
-    h_star = 0.5 * (h + math.sqrt(h * h + 4.0 * h))
-    gap = h_star - h
-    if gap <= 0.0:
-        # h_star - h rounds to 0 from h = 2^53 on; this form does not cancel
-        gap = 2.0 * h / (h + math.sqrt(h * h + 4.0 * h))
+    disc = h * h + 4.0 * h
+    if math.isfinite(disc):
+        h_star = 0.5 * (h + math.sqrt(disc))
+        gap = h_star - h
+        if gap <= 0.0:
+            # h_star - h rounds to 0 from h = 2^53 on; this form does not cancel
+            gap = 2.0 * h / (h + math.sqrt(disc))
+    else:
+        # h * h overflows from about 1.34e154 on; divide the root through by h
+        root = math.sqrt(1.0 + 4.0 / h)
+        h_star = 0.5 * h * (1.0 + root)
+        gap = 2.0 / (1.0 + root)
     r2 = h_star + math.log(gap) - math.log(h_star)
     return ThresholdSet(r1=r1, h_star=h_star, r2=r2)
 
@@ -170,63 +177,39 @@ def expected_intersection_count(r: float, h: float, ts: ThresholdSet | None = No
     return 3 if (ts.r2 < r < h) else 1
 
 
-def _intersection_residual_grid(ts: np.ndarray, r: float, h: float) -> np.ndarray:
-    """g1(g1(t)) - t at every point of ts as one array expression; NaN where
-    g1(t) <= r, outside the domain of g1, and where t is within rounding of
-    the pole of g1 at r, which the scalar g1 cannot evaluate."""
-    with np.errstate(divide="ignore"):
-        inner = h / (1.0 - np.exp(r - ts))
-    valid = np.isfinite(inner) & (inner > r)
-    outer = h / (1.0 - np.exp(r - np.where(valid, inner, np.inf)))
-    return np.where(valid, outer - ts, np.nan)
-
-
-def find_intersections(params: ModelParams, n_grid: int = 4096, span: float = 40.0) -> list[PlanarPoint]:
+def find_intersections(params: ModelParams) -> list[PlanarPoint]:
     """All solutions of x = x f(y) + h and y = y f(x) + h in the open quadrant.
 
     Both curves are graphs of the decreasing map g1(t) = h / (1 - e^{r-t}) on
-    t > r, so intersections are the fixed point and 2-cycles of g1.  The
-    signs of s(t) = g1(g1(t)) - t are taken on a log-spaced grid over
-    (r, r + span] as one array expression; a cell is a bracket when neither
-    end is NaN and the product of its end values is not positive.  Each
-    bracket is bisected on the scalar s(t), whose `math.exp` may differ from
-    the array's in the last bit, and the roots are deduplicated at 1e-6.
-    Raises CountMismatch when the numeric count disagrees with the analytic
-    case prediction.
+    t > r, so the intersections are the fixed point y_bar of g1 and its
+    2-cycle.  Outside the box regime r2 < r < h that is [(y_bar, y_bar)].
+    Inside it the 2-cycle x* < y_bar < y* exists, and the model brackets it:
+    g1 > h because 0 < e^{r-t} < 1, so x* = g1(y*) > h, and as g1 decreases,
+    y* = g1(x*) < g1(h).  Hence s(t) = g1(g1(t)) - t is >= 0 at h and <= 0
+    at g1(h); s changes sign only at x*, y_bar and y*, and y_bar repels, so
+    bisecting on the sign of s over [h, y_bar] gives x* and over
+    [y_bar, g1(h)] gives y*.  Raises BracketFailure where g1(h) is infinite
+    (e^{r-h} rounds to 1) or the end signs fail in floats.
     """
     if params.p != 1:
         raise ValueError("find_intersections requires constant stocking (p = 1)")
     r, h = params.r, params.h_const
     if h <= 0.0:
         raise ValueError("find_intersections requires h > 0")
+    y_bar = _equilibrium_root(r, h)
+    if expected_intersection_count(r, h) == 1:
+        return [PlanarPoint(y_bar, y_bar)]
 
-    def s(t: float) -> float:
-        inner = _g1(t, r, h)
-        if inner <= r:
-            return math.nan
-        return _g1(inner, r, h) - t
-
-    ts = r + np.geomspace(1e-9, span, n_grid)
-    vals = _intersection_residual_grid(ts, r, h)
-    a, b = vals[:-1], vals[1:]
-    brackets = ~(np.isnan(a) | np.isnan(b) | (a * b > 0.0))
-    roots: list[float] = []
-    for i in np.flatnonzero(brackets):
-        lo, hi = float(ts[i]), float(ts[i + 1])
-        flo = s(lo)
-        roots.append(bisect(lambda t: flo * s(t) > 0.0, lo, hi))
-    deduped: list[float] = []
-    for t in sorted(roots):
-        if not deduped or abs(t - deduped[-1]) > 1e-6:
-            deduped.append(t)
-    points = [PlanarPoint(t, _g1(t, r, h)) for t in deduped]
-
-    expected = expected_intersection_count(r, h)
-    if len(points) != expected:
-        raise CountMismatch(
-            f"found {len(points)} intersections at r={r}, h={h}, expected {expected}"
-        )
-    return points
+    if math.exp(r - h) >= 1.0:
+        raise BracketFailure(f"g1(h) is infinite at r={r}, h={h}: e^(r-h) rounds to 1")
+    s = lambda t: _g1(_g1(t, r, h), r, h) - t
+    top = _g1(h, r, h)
+    s_lo, s_hi = s(h), s(top)
+    if s_lo < 0.0 or s_hi > 0.0:
+        raise BracketFailure(f"pseudo fixed point brackets failed for r={r}, h={h}: ({s_lo}, {s_hi})")
+    x_star = bisect(lambda t: s(t) > 0.0, h, y_bar)
+    y_star = bisect(lambda t: s(t) > 0.0, y_bar, top)
+    return [PlanarPoint(x_star, y_star), PlanarPoint(y_bar, y_bar), PlanarPoint(y_star, x_star)]
 
 
 def feasible_ab(params: ModelParams, target: PlanarPoint | tuple[float, float]) -> BoxRegion:

@@ -113,7 +113,6 @@ def vector_step(point: Sequence[float], params: ModelParams, n: int = 0) -> Plan
 
 
 PlanarMap = Callable[[float, float], float]
-VectorMap = Callable[[float, float], tuple[float, float]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,13 +134,3 @@ class RickerMap:
 def planar_maps(params: ModelParams) -> list[RickerMap]:
     """The family F_j(x, y) = x f(y) + h_j for j = 0..p-1."""
     return [RickerMap(params.r, hj) for hj in params.stocking]
-
-
-def vector_maps(params: ModelParams) -> list[VectorMap]:
-    """The family T_j(x, y) = (F_j(x, y), x) for j = 0..p-1."""
-    fs = planar_maps(params)
-
-    def make(fj: PlanarMap) -> VectorMap:
-        return lambda x, y: (fj(x, y), x)
-
-    return [make(fj) for fj in fs]

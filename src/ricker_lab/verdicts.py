@@ -31,11 +31,6 @@ def eigenvalues_from_trace_det(tr: float, det: float) -> tuple[complex, complex]
     return complex(tr / 2.0, s / 2.0), complex(tr / 2.0, -s / 2.0)
 
 
-def spectral_radius(tr: float, det: float) -> float:
-    lam1, lam2 = eigenvalues_from_trace_det(tr, det)
-    return max(abs(lam1), abs(lam2))
-
-
 def jury_is_stable(tr: float, det: float) -> bool:
     """Jury conditions |tr| < 1 + det < 2 for both eigenvalues inside the unit disk."""
     return abs(tr) < 1.0 + det < 2.0

@@ -31,6 +31,31 @@ def mp_equilibrium(r, h) -> mp.mpf:
     return (lo + hi) / 2
 
 
+def _mp_bisect(below, lo, hi, steps=240) -> mp.mpf:
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def mp_pseudo_pair(r, h) -> tuple[mp.mpf, mp.mpf]:
+    """High-precision pseudo fixed points (x*, y*), the 2-cycle of
+    g1(t) = h / (1 - e^{r-t}), for r2 < r < h.
+
+    The equilibrium is bisected on (max(r, h), r + h + 1], then x* on
+    (h, y_bar) by the sign of g1(g1(t)) - t, which is positive between h and
+    x* and negative between x* and y_bar; y* = g1(x*).
+    """
+    r, h = mp.mpf(r), mp.mpf(h)
+    g1 = lambda t: h / (1 - mp.e ** (r - t))
+    y_bar = _mp_bisect(lambda y: y - y * mp.e ** (r - y) - h <= 0, max(r, h), r + h + 1)
+    x_star = _mp_bisect(lambda t: g1(g1(t)) - t > 0, h, y_bar)
+    return x_star, g1(x_star)
+
+
 def mp_two_cycle(r, h0, h1, z0_lo, z0_hi) -> tuple[mp.mpf, mp.mpf]:
     """High-precision 2-cycle from the scalar reduction on a given bracket."""
     r, h0, h1 = mp.mpf(r), mp.mpf(h0), mp.mpf(h1)

@@ -145,6 +145,31 @@ def test_huge_stocking_gets_a_verdict(capsys):
     assert payload["verdict"] == "GloballyStable" and payload["local"] == "LAS"
 
 
+@pytest.mark.parametrize("r", ["2", "1e154"])
+def test_stocking_past_square_overflow_gets_a_verdict(capsys, r):
+    # h * h overflows from about 1.34e154 on
+    code, out, _ = run(capsys, "certify", "--r", r, "--h", "1e155", "--json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "GloballyStable"
+
+
+def test_constant_box_with_h_within_rounding_of_r(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "certify", "--r", "0.1", "--h", "0.10000000000000002")
+    assert code == 3
+    assert "numeric failure" in err and "g1(h) is infinite" in err
+
+
+def test_constant_box_past_the_old_scan_span(capsys):
+    code, out, _ = run(capsys, "certify", "--r", "1.1995871901336117", "--h", "1.2145055622368421",
+                       "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "AbsorbingBox"
+    assert payload["box"][1] == pytest.approx(82.01882225799, abs=1e-9)
+
+
 def test_constant_sweep_at_large_growth_rates(capsys, tmp_path):
     out_path = tmp_path / "c.csv"
     code, _, _ = run(capsys, "sweep", "--mode", "constant", "--h-lo", "1", "--h-hi", "900", "--nh", "2",

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ricker_lab import (
     LocalVerdict,
@@ -14,10 +15,10 @@ from ricker_lab import (
     solve_equilibrium,
     thresholds,
 )
-from ricker_lab.constant import _equilibrium_root, _g1, _intersection_residual_grid, equilibria_grid
-from ricker_lab.errors import Infeasible
+from ricker_lab.constant import _equilibrium_root, _g1, equilibria_grid
+from ricker_lab.errors import BracketFailure, Infeasible
 
-from _oracles import mp_equilibrium, orbit_batch
+from _oracles import mp_equilibrium, mp_pseudo_pair, orbit_batch
 
 E_MINUS_1 = math.e - 1.0
 
@@ -218,7 +219,8 @@ def test_marginal_verdict_on_the_boundary():
 
 
 def mp_r2(h):
-    with mp.workdps(50):
+    # h_star - h cancels about log10(h) digits
+    with mp.workdps(50 + 2 * int(math.log10(h))):
         h = mp.mpf(h)
         h_star = (h + mp.sqrt(h * h + 4 * h)) / 2
         return float(h_star + mp.log(h_star - h) - mp.log(h_star))
@@ -229,6 +231,19 @@ def test_threshold_r2_at_huge_stocking_against_mpmath(h):
     # h_star - h rounds to 0 from h = 2^53 on; r2 must still be finite and right
     r2 = thresholds(h).r2
     assert abs(r2 - mp_r2(h)) <= 2 * math.ulp(r2)
+
+
+def mp_h_star(h):
+    with mp.workdps(50 + 2 * int(math.log10(h))):
+        h = mp.mpf(h)
+        return float((h + mp.sqrt(h * h + 4 * h)) / 2)
+
+
+@pytest.mark.parametrize("h", [1e155, 1e200, 1e300])
+def test_thresholds_where_h_squared_overflows(h):
+    ts = thresholds(h)
+    assert abs(ts.h_star - mp_h_star(h)) <= 2 * math.ulp(ts.h_star)
+    assert abs(ts.r2 - mp_r2(h)) <= 2 * math.ulp(ts.r2)
 
 
 @pytest.mark.parametrize("h", [1e16, 1e17])
@@ -249,28 +264,6 @@ def test_threshold_rejects_nonpositive():
 # ---------------------------------------------------------------------------
 # intersections / feasibility / certification
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("r, h", [
-    (2.0, 2.6), (2.0, 0.7), (2.0, 3.0), (1.1995871901336117, 1.2145055622368421),
-])
-def test_intersection_grid_signs_match_scalar_loop(r, h):
-    # the array scan may differ from math.exp in the last bit, but it must
-    # pick the same brackets as the scalar s(t) = g1(g1(t)) - t
-    def s(t):
-        inner = _g1(t, r, h)
-        if inner <= r:
-            return math.nan
-        return _g1(inner, r, h) - t
-
-    ts = r + np.geomspace(1e-9, 40.0, 4096)
-    scalar = np.array([s(float(t)) for t in ts])
-    vector = _intersection_residual_grid(ts, r, h)
-    # g1 decays to h, so g1(t) <= r on the far grid exactly when h < r
-    assert np.isnan(scalar).any() == (h < r)
-    assert np.array_equal(np.isnan(vector), np.isnan(scalar))
-    assert np.array_equal(np.sign(vector), np.sign(scalar), equal_nan=True)
-    np.testing.assert_allclose(vector, scalar, rtol=1e-12, atol=1e-12)
 
 
 def test_intersections_single_point_cases():
@@ -300,6 +293,58 @@ def test_intersections_symmetric_pairing():
     xs = sorted(p.x for p in pts)
     ys = sorted(p.y for p in pts)
     assert xs == pytest.approx(ys, abs=1e-8)
+
+
+def _pseudo_pair(r, h):
+    pts = find_intersections(ModelParams.constant(r, h))
+    x_star, y_bar, y_star = (p.x for p in pts)
+    assert pts == [(x_star, y_star), (y_bar, y_bar), (y_star, x_star)]
+    return x_star, y_bar, y_star
+
+
+def _assert_near_pseudo_pair(r, h, x_star, y_star, rel=1e-9):
+    mx, my = mp_pseudo_pair(r, h)
+    assert abs(x_star - float(mx)) <= rel * float(mx)
+    assert abs(y_star - float(my)) <= rel * float(my)
+
+
+# u places r between r2 and h.  At either end the pair is ill-conditioned in
+# floats: at r2 it bifurcates off y_bar (error about 1e-16 / u), and as r
+# nears h the denominator 1 - e^{r-t} of g1 cancels, so u keeps 1e-3 away.
+@settings(max_examples=100, deadline=None, database=None)
+@given(log_h=st.floats(math.log(1e-3), math.log(1e3)), u=st.floats(1e-3, 1.0 - 1e-3))
+def test_pseudo_pair_is_bracketed_and_matches_mpmath(log_h, u):
+    h = math.exp(log_h)
+    r2 = thresholds(h).r2
+    r = r2 + u * (h - r2)
+    assume(r2 < r < h)
+    x_star, y_bar, y_star = _pseudo_pair(r, h)
+    assert h <= x_star <= y_bar <= y_star <= _g1(h, r, h)
+    assert y_bar == _equilibrium_root(r, h)
+    _assert_near_pseudo_pair(r, h, x_star, y_star)
+
+
+def test_pseudo_pair_far_beyond_the_old_scan_span():
+    # y* is about 82, past the (r, r + 40] the grid scan used to cover
+    r, h = 1.1995871901336117, 1.2145055622368421
+    x_star, _, y_star = _pseudo_pair(r, h)
+    assert y_star == pytest.approx(82.01882225799, abs=1e-9)
+    _assert_near_pseudo_pair(r, h, x_star, y_star)
+
+
+def test_pseudo_pair_closer_than_a_grid_cell():
+    # midway between r2 and r1 at h = 1e5 the three points sit 0.008 apart
+    r, h = 99989.4870545353, 1e5
+    x_star, y_bar, y_star = _pseudo_pair(r, h)
+    assert h < x_star < y_bar < y_star
+    assert y_star - x_star < 0.02
+    _assert_near_pseudo_pair(r, h, x_star, y_star)
+
+
+def test_pseudo_pair_with_h_within_rounding_of_r():
+    # e^{r-h} rounds to 1, so g1(h) is infinite and there is no upper bracket
+    with pytest.raises(BracketFailure, match="g1"):
+        find_intersections(ModelParams.constant(0.1, 0.10000000000000002))
 
 
 def test_feasible_ab_constructs_verified_boxes():
