@@ -10,7 +10,6 @@ from ricker_lab import (
     ModelParams,
     build_embedding,
     corner_iterate,
-    label_embedded_fixed_point,
     planar_maps,
     se_leq,
 )
@@ -31,7 +30,7 @@ print(f"\nh=3 box (3, 6): converged in {enc.iterations} steps")
 print("  lower limit:", tuple(round(c, 8) for c in enc.lower))
 print("  upper limit:", tuple(round(c, 8) for c in enc.upper))
 print("  single point:", enc.is_point(1e-9),
-      "->", label_embedded_fixed_point(enc.lower).kind.value)
+      "of the form (y, y, y, y):", max(enc.lower) - min(enc.lower) <= 1e-8)
 
 # --- enclosure splitting into a pseudo pair (h = 2.6) -----------------------
 # Here the fixed-point curves of G cross off the diagonal, the corner limits
@@ -42,6 +41,7 @@ enc26 = corner_iterate(G26, BoxRegion(2.3, 8.0), require_compatible=False)
 print(f"\nh=2.6 box (2.3, 8): converged in {enc26.iterations} steps")
 print("  lower limit:", tuple(round(c, 4) for c in enc26.lower))
 print("  upper limit:", tuple(round(c, 4) for c in enc26.upper))
-print("  kind:", label_embedded_fixed_point(enc26.lower).kind.value)
+x, y, u, v = enc26.lower
+print("  pseudo pair (x, y, y, x):", abs(u - y) <= 1e-8 and abs(v - x) <= 1e-8)
 print("  -> long-run terms are squeezed into [{:.3f}, {:.3f}]".format(
     enc26.lower.x, enc26.lower.y))

@@ -10,16 +10,12 @@ from .model import (
 )
 from .embedding import (
     BoxRegion,
-    EmbeddedFixedPoint,
-    EmbeddedPointKind,
     Enclosure,
     FoldedFixedPointKind,
     build_embedding,
     classify_folded_fixed_point,
     corner_iterate,
-    fold_cyclic,
     fold_period2,
-    label_embedded_fixed_point,
     se_leq,
 )
 from .constant import (
@@ -63,10 +59,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelParams", "PlanarPoint", "QuadPoint", "density_f", "step", "vector_step",
     "planar_maps", "RickerMap",
-    "BoxRegion", "Enclosure", "EmbeddedFixedPoint", "EmbeddedPointKind",
-    "FoldedFixedPointKind", "build_embedding", "classify_folded_fixed_point",
-    "corner_iterate", "fold_cyclic", "fold_period2", "label_embedded_fixed_point",
-    "se_leq",
+    "BoxRegion", "Enclosure", "FoldedFixedPointKind", "build_embedding",
+    "classify_folded_fixed_point", "corner_iterate", "fold_period2", "se_leq",
     "EquilibriumReport", "ThresholdSet", "certify_constant", "feasible_ab",
     "find_intersections", "solve_equilibrium", "thresholds",
     "ArtificialCycleSet", "TwoCycleReport", "certify_periodic",

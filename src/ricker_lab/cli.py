@@ -1,17 +1,20 @@
 """Command-line front end: reports, certification, sweeps, orbit dumps, scans.
 
-Exit codes: 0 on success, 2 on usage or parameter validation failure, 3 on
-numeric failure.  A simple key=value config file can pre-set any option
-(--config); explicit flags win.  CSV output uses 17 significant digits so a
-parse/re-serialize round trip is byte identical.  Sweep rows are written in
-grid order.
+Exit codes: 0 on success, 2 on usage or parameter validation failure or a
+file that cannot be read or written, 3 on numeric failure.  A simple
+key=value config file (--config, after the subcommand) can pre-set any
+option that `_COMMANDS` declares for that subcommand; explicit flags win.
+CSV output uses 17 significant digits so a parse/re-serialize round trip is
+byte identical.  Sweep rows are written in grid order.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import math
 import sys
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .constant import (
 from .errors import RickerLabError
 from .model import ModelParams
 from .orbits import neimark_sacker_scan, simulate
-from .periodic import _certify_periodic, find_artificial_cycles, solve_two_cycle
+from .periodic import certify_periodic, find_artificial_cycles, solve_two_cycle
 from .verdicts import LocalVerdict, VerdictTag
 
 
@@ -48,8 +51,27 @@ def _print_json(obj: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# config merging
+# options and config merging
 # ---------------------------------------------------------------------------
+
+
+class _Option(NamedTuple):
+    """One option of a subcommand; type bool makes a store_true flag.  min is
+    the smallest accepted value, checked before any work starts, so a bad
+    value fails on every input, not only where it is used (a sweep reaches
+    the --art-grid scan only on cells with min(h0, h1) >= r)."""
+
+    type: Callable[[str], Any] = float
+    default: Any = None
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+    min: int | None = None
+
+
+class _Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    options: dict[str, _Option]
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -66,50 +88,55 @@ def _load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _as_bool(raw: str) -> bool:
-    return raw.lower() in {"1", "true", "yes", "on"}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
-def _merge_config(args: argparse.Namespace, spec: dict[str, tuple]) -> None:
-    """Fill unset options from the config file, then apply defaults.
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
-    spec maps dest -> (coerce, default, required).  CLI flags (non-None, or
-    True for store_true flags) always win over the config file.
+
+def _merge_config(args: argparse.Namespace) -> None:
+    """Fill the subcommand's unset options from the config file, then apply
+    defaults and check each value against its declaration in `_COMMANDS`.
+
+    CLI flags (non-None, or True for store_true flags) always win over the
+    config file.  A config key the subcommand does not declare is an error.
     """
+    options = _COMMANDS[args.command].options
     cfg = _load_config(args.config) if args.config else {}
-    for dest, (coerce, default, required) in spec.items():
-        val = getattr(args, dest, None)
-        if coerce is _as_bool:
-            if val is False and dest in cfg:
-                setattr(args, dest, _as_bool(cfg[dest]))
+    unknown = [key for key in cfg if key not in options]
+    if unknown:
+        raise ValueError(f"config keys not known to {args.command}: {', '.join(unknown)}")
+    for dest, opt in options.items():
+        val = getattr(args, dest)
+        if opt.type is bool:
+            if not val and dest in cfg:
+                if cfg[dest].lower() not in _BOOLEANS:
+                    raise ValueError(f"config {dest}={cfg[dest]!r} is not one of {'/'.join(_BOOLEANS)}")
+                setattr(args, dest, _BOOLEANS[cfg[dest].lower()])
             continue
-        if val is None and dest in cfg:
-            val = coerce(cfg[dest])
         if val is None:
-            val = default
-        if val is None and required:
-            raise ValueError(f"missing required option --{dest.replace('_', '-')}")
+            val = opt.type(cfg[dest]) if dest in cfg else opt.default
+        if val is None:
+            if opt.required:
+                raise ValueError(f"missing required option {_flag(dest)}")
+        elif opt.choices is not None and val not in opt.choices:
+            raise ValueError(f"{_flag(dest)} must be one of {', '.join(opt.choices)}, got {val!r}")
+        elif opt.min is not None and val < opt.min:
+            raise ValueError(f"{args.command} needs {_flag(dest)} >= {opt.min}, got {val}")
         setattr(args, dest, val)
 
 
-def _require_scan_grid(grid: int, flag: str) -> None:
-    """Reject an artificial-cycle scan resolution below 2 before any cell
-    runs, so the option fails on every input, not only on the cells that
-    reach the scan."""
-    if grid < 2:
-        raise ValueError(f"the artificial-cycle scan needs {flag} >= 2, got {grid}")
-
-
-def _params_from(args: argparse.Namespace) -> ModelParams:
-    has_const = args.h is not None
-    has_periodic = args.h0 is not None or args.h1 is not None
-    if has_const and has_periodic:
-        raise ValueError("give either --h or the pair --h0/--h1, not both")
-    if has_const:
-        return ModelParams.constant(args.r, args.h)
+def _stocking_from(args: argparse.Namespace) -> tuple[float, ...]:
+    """The stocking schedule from --h or from the pair --h0/--h1, not both."""
+    if args.h is not None:
+        if args.h0 is not None or args.h1 is not None:
+            raise ValueError("give either --h or the pair --h0/--h1, not both")
+        return (args.h,)
     if args.h0 is None or args.h1 is None:
-        raise ValueError("periodic stocking needs both --h0 and --h1")
-    return ModelParams(r=args.r, stocking=(args.h0, args.h1))
+        raise ValueError("give --h or both --h0 and --h1")
+    return (args.h0, args.h1)
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +145,6 @@ def _params_from(args: argparse.Namespace) -> ModelParams:
 
 
 def cmd_equilibrium(args: argparse.Namespace) -> int:
-    _merge_config(args, {
-        "r": (float, None, True),
-        "h": (float, None, True),
-        "json": (_as_bool, False, False),
-    })
     report = solve_equilibrium(ModelParams.constant(args.r, args.h))
     if args.json:
         _print_json({"r": args.r, "h": args.h, **report.to_dict()})
@@ -137,12 +159,6 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
 
 
 def cmd_two_cycle(args: argparse.Namespace) -> int:
-    _merge_config(args, {
-        "r": (float, None, True),
-        "h0": (float, None, True),
-        "h1": (float, None, True),
-        "json": (_as_bool, False, False),
-    })
     report = solve_two_cycle(ModelParams(r=args.r, stocking=(args.h0, args.h1)))
     if args.json:
         _print_json({"r": args.r, "h0": args.h0, "h1": args.h1, **report.to_dict()})
@@ -157,23 +173,14 @@ def cmd_two_cycle(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    _merge_config(args, {
-        "r": (float, None, True),
-        "h": (float, None, False),
-        "h0": (float, None, False),
-        "h1": (float, None, False),
-        "grid": (int, 1024, False),
-        "json": (_as_bool, False, False),
-    })
-    _require_scan_grid(args.grid, "--grid")
-    params = _params_from(args)
+    params = ModelParams(r=args.r, stocking=_stocking_from(args))
     if params.p == 1:
         verdict = certify_constant(params)
         payload = {"mode": "constant", "r": params.r, "h": params.h_const}
         payload["y_bar"] = solve_equilibrium(params).y_bar
     else:
         report = solve_two_cycle(params)
-        verdict = _certify_periodic(params, report, args.grid)
+        verdict = certify_periodic(params, args.grid, cycle=report)
         payload = {
             "mode": "periodic", "r": params.r,
             "h0": params.stocking[0], "h1": params.stocking[1],
@@ -228,7 +235,7 @@ def _sweep_periodic_cell(r: float, h0: float, h1: float, art_grid: int) -> str:
         )
     params = ModelParams(r=r, stocking=(h0, h1))
     report = solve_two_cycle(params)
-    tag = _certify_periodic(params, report, art_grid).tag
+    tag = certify_periodic(params, art_grid, cycle=report).tag
     note = '"min(h0,h1) < r"' if tag is VerdictTag.NOT_APPLICABLE else f"art-grid={art_grid}"
     return (
         f"{_fmt(h0)},{_fmt(h1)},{_fmt(r)},{tag.value},"
@@ -237,24 +244,14 @@ def _sweep_periodic_cell(r: float, h0: float, h1: float, art_grid: int) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _merge_config(args, {
-        "mode": (str, "constant", False),
-        "h_lo": (float, None, False), "h_hi": (float, None, False), "nh": (int, None, False),
-        "r_lo": (float, None, False), "r_hi": (float, None, False), "nr": (int, None, False),
-        "r": (float, None, False),
-        "h0_lo": (float, None, False), "h0_hi": (float, None, False), "nh0": (int, None, False),
-        "h1_lo": (float, None, False), "h1_hi": (float, None, False), "nh1": (int, None, False),
-        "art_grid": (int, 128, False),
-        "out": (str, "-", False),
-        "curves": (str, None, False),
-    })
-    _require_scan_grid(args.art_grid, "--art-grid")
     if args.mode == "constant":
         for name in ("h_lo", "h_hi", "nh", "r_lo", "r_hi", "nr"):
             if getattr(args, name) is None:
-                raise ValueError(f"constant sweep requires --{name.replace('_', '-')}")
-        if args.nh < 1 or args.nr < 1 or args.h_lo <= 0 or args.h_lo > args.h_hi or args.r_lo <= 0 or args.r_lo > args.r_hi:
-            raise ValueError("sweep grid must have positive ranges and counts")
+                raise ValueError(f"constant sweep requires {_flag(name)}")
+        # written as one positive condition, so that NaN and inf bounds fail it
+        if not (args.nh >= 1 and args.nr >= 1 and 0 < args.h_lo <= args.h_hi < math.inf
+                and 0 < args.r_lo <= args.r_hi < math.inf):
+            raise ValueError("sweep grid must have finite positive ranges and counts")
         h_vals = np.linspace(args.h_lo, args.h_hi, args.nh)
         r_vals = np.linspace(args.r_lo, args.r_hi, args.nr)
         lines = [_SWEEP_HEADER_CONSTANT]
@@ -274,13 +271,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _emit(curve_lines, curves_path)
         return 0
 
-    if args.mode != "periodic":
-        raise ValueError(f"unknown sweep mode {args.mode!r}")
     for name in ("r", "h0_lo", "h0_hi", "nh0", "h1_lo", "h1_hi", "nh1"):
         if getattr(args, name) is None:
-            raise ValueError(f"periodic sweep requires --{name.replace('_', '-')}")
-    if args.nh0 < 1 or args.nh1 < 1 or args.h0_lo < 0 or args.h0_lo > args.h0_hi or args.h1_lo < 0 or args.h1_lo > args.h1_hi:
-        raise ValueError("sweep grid must have positive ranges and counts")
+            raise ValueError(f"periodic sweep requires {_flag(name)}")
+    if not (args.nh0 >= 1 and args.nh1 >= 1 and 0 <= args.h0_lo <= args.h0_hi < math.inf
+            and 0 <= args.h1_lo <= args.h1_hi < math.inf):
+        raise ValueError("sweep grid must have finite non-negative ranges and positive counts")
     h0_vals = np.linspace(args.h0_lo, args.h0_hi, args.nh0)
     h1_vals = np.linspace(args.h1_lo, args.h1_hi, args.nh1)
     lines = [_SWEEP_HEADER_PERIODIC]
@@ -294,18 +290,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:
-    _merge_config(args, {
-        "r": (float, None, True),
-        "h": (float, None, False),
-        "h0": (float, None, False),
-        "h1": (float, None, False),
-        "x0": (float, None, True),
-        "xprev": (float, None, True),
-        "n": (int, None, True),
-        "transient": (int, 0, False),
-        "out": (str, "-", False),
-    })
-    params = _params_from(args)
+    params = ModelParams(r=args.r, stocking=_stocking_from(args))
     total = args.transient + args.n
     orbit = simulate(params, args.x0, args.xprev, total)
     lines = ["n,x_n,x_prev,parity"]
@@ -318,21 +303,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
 
 
 def cmd_scan_ns(args: argparse.Namespace) -> int:
-    _merge_config(args, {
-        "h": (float, None, False),
-        "h0": (float, None, False),
-        "h1": (float, None, False),
-        "s_lo": (float, None, True),
-        "s_hi": (float, None, True),
-        "steps": (int, 101, False),
-        "json": (_as_bool, False, False),
-    })
-    if args.h is not None:
-        family = lambda s: ModelParams.constant(s, args.h)
-    elif args.h0 is not None and args.h1 is not None:
-        family = lambda s: ModelParams(r=s, stocking=(args.h0, args.h1))
-    else:
-        raise ValueError("scan-ns needs --h or the pair --h0/--h1")
+    stocking = _stocking_from(args)
+    family = lambda s: ModelParams(r=s, stocking=stocking)
     report = neimark_sacker_scan(family, args.s_lo, args.s_hi, steps=args.steps)
     if args.json:
         _print_json({
@@ -350,17 +322,7 @@ def cmd_scan_ns(args: argparse.Namespace) -> int:
 
 
 def cmd_artificial_cycles(args: argparse.Namespace) -> int:
-    _merge_config(args, {
-        "r": (float, None, True),
-        "h0": (float, None, True),
-        "h1": (float, None, True),
-        "grid": (int, 1024, False),
-        "json": (_as_bool, False, False),
-    })
-    _require_scan_grid(args.grid, "--grid")
-    result = find_artificial_cycles(
-        ModelParams(r=args.r, stocking=(args.h0, args.h1)), grid=args.grid
-    )
+    result = find_artificial_cycles(ModelParams(r=args.r, stocking=(args.h0, args.h1)), args.grid)
     if args.json:
         _print_json({
             "r": args.r, "h0": args.h0, "h1": args.h1,
@@ -375,106 +337,72 @@ def cmd_artificial_cycles(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# option table and parser
 # ---------------------------------------------------------------------------
+
+
+_R = {"r": _Option(required=True)}
+_STOCKING = {"h": _Option(), "h0": _Option(), "h1": _Option()}
+_PAIR = {"h0": _Option(required=True), "h1": _Option(required=True)}
+_GRID = {"grid": _Option(int, 1024, min=2)}
+_JSON = {"json": _Option(bool, False)}
+_OUT = {"out": _Option(str, "-")}
+
+# subcommand -> handler, help text and options, in the order --help lists them
+_COMMANDS = {
+    "equilibrium": _Command(cmd_equilibrium, "equilibrium report for constant stocking",
+                            {**_R, "h": _Option(required=True), **_JSON}),
+    "two-cycle": _Command(cmd_two_cycle, "2-cycle report for 2-periodic stocking",
+                          {**_R, **_PAIR, **_JSON}),
+    "certify": _Command(cmd_certify, "global-stability certification",
+                        {**_R, **_STOCKING, **_GRID, **_JSON}),
+    "sweep": _Command(cmd_sweep, "parameter-plane sweep to CSV", {
+        "mode": _Option(str, "constant", choices=("constant", "periodic")),
+        "h_lo": _Option(), "h_hi": _Option(), "nh": _Option(int),
+        "r_lo": _Option(), "r_hi": _Option(), "nr": _Option(int),
+        "r": _Option(), "h0_lo": _Option(), "h0_hi": _Option(), "nh0": _Option(int),
+        "h1_lo": _Option(), "h1_hi": _Option(), "nh1": _Option(int),
+        "art_grid": _Option(int, 128, min=2), **_OUT, "curves": _Option(str),
+    }),
+    "orbit": _Command(cmd_orbit, "orbit dump as CSV (n, x_n, x_prev, parity)", {
+        **_R, **_STOCKING,
+        "x0": _Option(required=True), "xprev": _Option(required=True),
+        "n": _Option(int, required=True, min=1), "transient": _Option(int, 0, min=0), **_OUT,
+    }),
+    "scan-ns": _Command(cmd_scan_ns, "locate a unit-modulus eigenvalue crossing along r", {
+        **_STOCKING, "s_lo": _Option(required=True), "s_hi": _Option(required=True),
+        "steps": _Option(int, 101), **_JSON,
+    }),
+    "artificial-cycles": _Command(cmd_artificial_cycles, "enumerate artificial cycles of the folded map",
+                                  {**_R, **_PAIR, **_GRID, **_JSON}),
+}
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args keeps no state in it."""
+    """The parser from `_COMMANDS`, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="ricker-lab",
         description="Delayed Ricker model with stocking: reports, certification, sweeps.",
     )
-    parser.add_argument("--config", default=None, help="key=value file; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def newsub(name: str, helptext: str):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", default=None, help="key=value file; flags override")
-        return p
-
-    p = newsub("equilibrium", "equilibrium report for constant stocking")
-    p.add_argument("--r", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_equilibrium)
-
-    p = newsub("two-cycle", "2-cycle report for 2-periodic stocking")
-    p.add_argument("--r", type=float)
-    p.add_argument("--h0", type=float)
-    p.add_argument("--h1", type=float)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_two_cycle)
-
-    p = newsub("certify", "global-stability certification")
-    p.add_argument("--r", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--h0", type=float)
-    p.add_argument("--h1", type=float)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_certify)
-
-    p = newsub("sweep", "parameter-plane sweep to CSV")
-    p.add_argument("--mode", choices=["constant", "periodic"])
-    p.add_argument("--h-lo", type=float)
-    p.add_argument("--h-hi", type=float)
-    p.add_argument("--nh", type=int)
-    p.add_argument("--r-lo", type=float)
-    p.add_argument("--r-hi", type=float)
-    p.add_argument("--nr", type=int)
-    p.add_argument("--r", type=float)
-    p.add_argument("--h0-lo", type=float)
-    p.add_argument("--h0-hi", type=float)
-    p.add_argument("--nh0", type=int)
-    p.add_argument("--h1-lo", type=float)
-    p.add_argument("--h1-hi", type=float)
-    p.add_argument("--nh1", type=int)
-    p.add_argument("--art-grid", type=int)
-    p.add_argument("--out")
-    p.add_argument("--curves")
-    p.set_defaults(func=cmd_sweep)
-
-    p = newsub("orbit", "orbit dump as CSV (n, x_n, x_prev, parity)")
-    p.add_argument("--r", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--h0", type=float)
-    p.add_argument("--h1", type=float)
-    p.add_argument("--x0", type=float)
-    p.add_argument("--xprev", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--transient", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_orbit)
-
-    p = newsub("scan-ns", "locate a unit-modulus eigenvalue crossing along r")
-    p.add_argument("--h", type=float)
-    p.add_argument("--h0", type=float)
-    p.add_argument("--h1", type=float)
-    p.add_argument("--s-lo", type=float)
-    p.add_argument("--s-hi", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_scan_ns)
-
-    p = newsub("artificial-cycles", "enumerate artificial cycles of the folded map")
-    p.add_argument("--r", type=float)
-    p.add_argument("--h0", type=float)
-    p.add_argument("--h1", type=float)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_artificial_cycles)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="key=value file; flags override")
+        for dest, opt in command.options.items():
+            if opt.type is bool:
+                p.add_argument(_flag(dest), action="store_true")
+            else:
+                p.add_argument(_flag(dest), type=opt.type, choices=opt.choices)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
+        _merge_config(args)
+        return _COMMANDS[args.command].handler(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RickerLabError as exc:

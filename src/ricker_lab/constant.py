@@ -170,13 +170,6 @@ def _g1(t: float, r: float, h: float) -> float:
     return h / (1.0 - math.exp(r - t))
 
 
-def expected_intersection_count(r: float, h: float, ts: ThresholdSet | None = None) -> int:
-    """Case prediction: 3 off/on-diagonal intersections iff r2 < r < h, else 1."""
-    if ts is None:
-        ts = thresholds(h)
-    return 3 if (ts.r2 < r < h) else 1
-
-
 def find_intersections(params: ModelParams) -> list[PlanarPoint]:
     """All solutions of x = x f(y) + h and y = y f(x) + h in the open quadrant.
 
@@ -197,7 +190,7 @@ def find_intersections(params: ModelParams) -> list[PlanarPoint]:
     if h <= 0.0:
         raise ValueError("find_intersections requires h > 0")
     y_bar = _equilibrium_root(r, h)
-    if expected_intersection_count(r, h) == 1:
+    if not thresholds(h).r2 < r < h:
         return [PlanarPoint(y_bar, y_bar)]
 
     if math.exp(r - h) >= 1.0:

@@ -256,59 +256,9 @@ def fold_period2(t0: Planar2Map, t1: Planar2Map) -> tuple[Planar2Map, Planar2Map
     return t10, t01
 
 
-def fold_cyclic(maps: Sequence[Planar2Map]) -> list[Planar2Map]:
-    """All p cyclic compositions of a p-periodic family of planar maps.
-
-    Entry i applies maps[i], maps[i+1], ..., wrapping around, ending with
-    maps[i-1]; entry 0 is the plain period composition.  Fixed points of entry
-    i advance the folded subsequence that starts at phase i.
-    """
-    p = len(maps)
-
-    def make(i: int) -> Planar2Map:
-        order = [maps[(i + k) % p] for k in range(p)]
-
-        def comp(x: float, y: float) -> tuple[float, float]:
-            for m in order:
-                x, y = m(x, y)
-            return x, y
-
-        return comp
-
-    return [make(i) for i in range(p)]
-
-
 # ---------------------------------------------------------------------------
 # Fixed point taxonomy
 # ---------------------------------------------------------------------------
-
-
-class EmbeddedPointKind(str, Enum):
-    SYMMETRIC = "Symmetric"
-    PSEUDO_PAIR = "PseudoPair"
-    PERIODIC_CYCLE_SEED = "PeriodicCycleSeed"
-    ARTIFICIAL_CYCLE_SEED = "ArtificialCycleSeed"
-
-
-@dataclass(frozen=True)
-class EmbeddedFixedPoint:
-    point: QuadPoint
-    kind: EmbeddedPointKind
-
-
-def label_embedded_fixed_point(q: Sequence[float], tol: float = 1e-8) -> EmbeddedFixedPoint:
-    """Label a fixed point of an embedded map by its coordinate pattern."""
-    x, y, u, v = q
-    eq = lambda a, b: abs(a - b) <= tol
-    if eq(x, y) and eq(u, x) and eq(v, x):
-        kind = EmbeddedPointKind.SYMMETRIC
-    elif eq(u, y) and eq(v, x):
-        kind = EmbeddedPointKind.PSEUDO_PAIR
-    elif eq(u, x) and eq(v, y):
-        kind = EmbeddedPointKind.PERIODIC_CYCLE_SEED
-    else:
-        kind = EmbeddedPointKind.ARTIFICIAL_CYCLE_SEED
-    return EmbeddedFixedPoint(QuadPoint(*q), kind)
 
 
 class FoldedFixedPointKind(str, Enum):

@@ -320,23 +320,24 @@ def _newton_polish_artificial(x: float, y: float, r: float, h0: float, h1: float
     return x, y
 
 
-def find_artificial_cycles(params: ModelParams, grid: int = 1024) -> ArtificialCycleSet:
+def find_artificial_cycles(
+    params: ModelParams, grid: int = 1024, *, cycle: TwoCycleReport | None = None
+) -> ArtificialCycleSet:
     """Enumerate fixed points of the folded embedded map beyond the 2-cycle.
 
     Scans the trapping rectangle (h1, x_max] x (h0, y_max] on a geometric
     grid, seeds Newton wherever both residual surfaces change sign across a
     cell, deduplicates at 1e-6, and drops the root coming from the true
     2-cycle.  An empty set is a valid outcome and is what global-stability
-    certification requires.
+    certification requires.  `cycle` is the solved 2-cycle of params, for a
+    caller that already has it; it is solved here otherwise, with the same
+    result.
     """
-    return _find_artificial_cycles(params, solve_two_cycle(params), grid)
-
-
-def _find_artificial_cycles(params: ModelParams, cycle: TwoCycleReport, grid: int) -> ArtificialCycleSet:
-    """`find_artificial_cycles` given the solved 2-cycle of params."""
     r, h0, h1 = _require_two_periodic(params)
     if grid < 2:
         raise ValueError(f"the artificial-cycle scan needs grid >= 2, got {grid}")
+    if cycle is None:
+        cycle = solve_two_cycle(params)
     x_max, y_max = _orbit_bounds(r, h0, h1)
     xs = h1 + np.geomspace(1e-9, x_max - h1, grid)
     ys = h0 + np.geomspace(1e-9, y_max - h0, grid)
@@ -440,20 +441,20 @@ _PROV_BOX2 = "artificial cycles present: even/odd tails bounded by their coordin
 _PROV_NA2 = "min(h0,h1) < r: no compatible box, embedding inapplicable"
 
 
-def certify_periodic(params: ModelParams, grid: int = 1024) -> ClassificationVerdict:
+def certify_periodic(
+    params: ModelParams, grid: int = 1024, *, cycle: TwoCycleReport | None = None
+) -> ClassificationVerdict:
     """Classify the long-run behavior under 2-periodic stocking.
 
     GloballyStable(2-cycle) when both stocking values exceed r and the
     artificial-cycle scan finds nothing; AbsorbingBox with even-term range
     [min(x,u), max(x,u)] and odd-term range [min(v,y), max(v,y)] when
     artificial cycles exist; NotApplicable when min(h0, h1) < r.  The Jury
-    verdict of the 2-cycle is carried alongside either way.
+    verdict of the 2-cycle is carried alongside either way.  `cycle` is the
+    solved 2-cycle of params, for a caller that already has it; it is solved
+    here otherwise, with the same verdict.
     """
-    return _certify_periodic(params, solve_two_cycle(params), grid)
-
-
-def _certify_periodic(params: ModelParams, report: TwoCycleReport, grid: int) -> ClassificationVerdict:
-    """`certify_periodic` given the solved 2-cycle of params."""
+    report = solve_two_cycle(params) if cycle is None else cycle
     r, h0, h1 = _require_two_periodic(params)
     if min(h0, h1) < r:
         return ClassificationVerdict(
@@ -462,7 +463,7 @@ def _certify_periodic(params: ModelParams, report: TwoCycleReport, grid: int) ->
             note="certification unavailable; Jury verdict of the 2-cycle attached",
             local=report.local_verdict,
         )
-    art = _find_artificial_cycles(params, report, grid)
+    art = find_artificial_cycles(params, grid, cycle=report)
     boundary = min(h0, h1) == r
     witness = None
     if not boundary:

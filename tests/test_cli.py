@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -415,6 +417,19 @@ def test_sweep_rejects_bad_grid(capsys):
     assert code == 2 and "grid" in err
 
 
+# a NaN bound fails every comparison, so it passed the range check that
+# looked for a bad ordering and the sweep wrote rows with r = nan
+@pytest.mark.parametrize("argv", [
+    ("--mode", "constant", "--h-lo", "1", "--h-hi", "2", "--nh", "2", "--r-lo", "1", "--r-hi", "nan", "--nr", "2"),
+    ("--mode", "constant", "--h-lo", "1", "--h-hi", "2", "--nh", "2", "--r-lo", "1", "--r-hi", "inf", "--nr", "2"),
+    ("--mode", "periodic", "--r", "1", "--h0-lo", "1", "--h0-hi", "inf", "--nh0", "2",
+     "--h1-lo", "1.5", "--h1-hi", "2", "--nh1", "2"),
+])
+def test_sweep_rejects_non_finite_bounds(capsys, argv):
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 2 and out == "" and "grid" in err
+
+
 def test_scan_ns_json(capsys):
     code, out, _ = run(capsys, "scan-ns", "--h", "1", "--s-lo", "1.0", "--s-hi", "1.6", "--json")
     assert code == 0
@@ -442,6 +457,106 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     # explicit flag beats the file
     code, out, _ = run(capsys, "equilibrium", "--config", str(cfg), "--r", "1.5")
     assert json.loads(out)["y_bar"] == pytest.approx(2.589, abs=1e-3)
+
+
+def test_config_before_the_subcommand_is_a_usage_error(tmp_path):
+    # --config belongs to the subcommand; in front of it, it is not an option
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r=2\nh=1.7182818\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "equilibrium"])
+    assert exc.value.code == 2
+
+
+def test_missing_config_file_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "equilibrium", "--config", str(tmp_path / "absent.cfg"))
+    assert code == 2 and "error:" in err and "absent.cfg" in err
+
+
+def test_unwritable_out_path_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "absent-dir" / "x.csv"
+    code, _, err = run(capsys, "sweep", "--mode", "constant", "--h-lo", "1", "--h-hi", "2", "--nh", "2",
+                       "--r-lo", "1", "--r-hi", "2", "--nr", "2", "--out", str(out_path))
+    assert code == 2 and "error:" in err and "x.csv" in err
+
+
+def test_unknown_config_key_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r=2\nh=1.7182818\nrr=5\n")
+    code, out, err = run(capsys, "equilibrium", "--config", str(cfg))
+    assert code == 2 and out == "" and "rr" in err
+
+
+def test_non_boolean_flag_value_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r=2\nh=1.7182818\njson=maybe\n")
+    code, out, err = run(capsys, "equilibrium", "--config", str(cfg))
+    assert code == 2 and out == "" and "json" in err and "maybe" in err
+
+
+def test_negative_transient_exits_2(capsys):
+    code, out, err = run(capsys, "orbit", "--r", "1", "--h", "1", "--x0", "1", "--xprev", "1",
+                         "--n", "3", "--transient", "-1")
+    assert code == 2 and out == "" and "--transient" in err
+
+
+def test_scan_ns_rejects_h_with_the_pair(capsys):
+    code, out, err = run(capsys, "scan-ns", "--h", "1", "--h0", "2", "--h1", "3",
+                         "--s-lo", "1.0", "--s-hi", "1.6")
+    assert code == 2 and out == "" and "not both" in err
+
+
+def _config_text(opt, which):
+    """One of two distinct valid config values for opt."""
+    if opt.type is bool:
+        return ("on", "off")[which]
+    if opt.choices:
+        return opt.choices[which]
+    return {int: ("7", "9"), float: ("1.5", "2.5"), str: ("a.csv", "b.csv")}[opt.type][which]
+
+
+def _merged(*argv):
+    args = cli._build_parser().parse_args(list(argv))
+    cli._merge_config(args)
+    return args
+
+
+@pytest.mark.parametrize("command, dest", [
+    (command, dest) for command, spec in cli._COMMANDS.items() for dest in spec.options
+])
+def test_every_option_is_read_from_config_and_overridden_by_its_flag(tmp_path, command, dest):
+    options = cli._COMMANDS[command].options
+    opt = options[dest]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key}={_config_text(o, 0)}\n" for key, o in options.items()))
+    args = _merged(command, "--config", str(cfg))
+    if opt.type is bool:
+        assert getattr(args, dest) is True
+        cfg.write_text(cfg.read_text().replace(f"{dest}=on", f"{dest}=off"))
+        assert getattr(_merged(command, "--config", str(cfg)), dest) is False
+        flag, want = ["--" + dest], True
+    else:
+        assert getattr(args, dest) == opt.type(_config_text(opt, 0))
+        flag, want = ["--" + dest.replace("_", "-"), _config_text(opt, 1)], opt.type(_config_text(opt, 1))
+    assert getattr(_merged(command, "--config", str(cfg), *flag), dest) == want
+
+
+def _readme_command_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = "".join(re.findall(r"```bash\n(.*?)```", text, flags=re.S)).replace("\\\n", " ")
+    return [line.strip() for line in blocks.splitlines() if line.strip().startswith("ricker-lab ")]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        # optional parts are written [--flag value]; parse them as given
+        argv = shlex.split(re.sub(r"\[([^\]]*)\]", r"\1", line))[1:]
+        try:
+            cli._build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
 
 
 def test_parser_keeps_no_state_between_calls(capsys, tmp_path):

@@ -338,3 +338,21 @@ def test_residual_helper_zero_at_cycle():
     z0, z1 = CYCLES[(1.0, 2.0, 1.5)]
     q1, q2 = _cycle_residuals(z0, z1, 1.0, 2.0, 1.5)
     assert abs(q1) < 1e-10 and abs(q2) < 1e-10
+
+
+# GloballyStable in both orientations, AbsorbingBox, NotApplicable and the
+# min(h0, h1) = r boundary
+@pytest.mark.parametrize("point", [(1.0, 2.0, 1.5), (1.0, 1.5, 2.0), (1.0, 2.0, 1.1), (1.5, 0.82, 1.8),
+                                   (1.0, 2.0, 1.0), (1.0, 1.0043478, 1.1217391)])
+def test_solved_cycle_keyword_gives_the_same_result(monkeypatch, point):
+    params = params_of(point)
+    cycle = solve_two_cycle(params)
+    verdict = certify_periodic(params, 128)
+    art = find_artificial_cycles(params, 128)
+
+    def no_solve(params):
+        raise AssertionError("the 2-cycle was solved although it was handed over")
+
+    monkeypatch.setattr(periodic, "solve_two_cycle", no_solve)
+    assert certify_periodic(params, 128, cycle=cycle) == verdict
+    assert find_artificial_cycles(params, 128, cycle=cycle) == art
