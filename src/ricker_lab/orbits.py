@@ -20,13 +20,15 @@ _OVERFLOW_GUARD = 1e300
 def simulate(params: ModelParams, x0: float, x_minus1: float, n_steps: int) -> np.ndarray:
     """The orbit terms x_1 .. x_{n_steps} from initial data (x0, x_{-1}).
 
-    Deterministic; raises OrbitOverflow (with the offending step index) when a
+    Deterministic; raises ValueError unless both initial states are finite and
+    non-negative, and OrbitOverflow (with the offending step index) when a
     term exceeds the 1e300 guard.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    if x0 < 0.0 or x_minus1 < 0.0:
-        raise ValueError("initial states must be non-negative")
+    # written as one positive condition, so that NaN and inf states fail it
+    if not (0.0 <= x0 < math.inf and 0.0 <= x_minus1 < math.inf):
+        raise ValueError("initial states must be finite and non-negative")
     r = params.r
     stocking = params.stocking
     p = params.p

@@ -266,14 +266,13 @@ class ArtificialCycleSet:
     y_max: float
 
 
-def _artificial_residuals(X, Y, r: float, h0: float, h1: float):
-    """The residual surfaces P e^{r-Q} - X + h1 and Q e^{r-P} - Y + h0, with
-    P = X e^{r-Y} + h0 and Q = Y e^{r-X} + h1, on the grid spanned by the
-    column X and the row Y.
+def _first_residual(X, Y, r: float, h0: float, h1: float):
+    """The residual R1 = P e^{r-Q} - X + h1, with P = X e^{r-Y} + h0 and
+    Q = Y e^{r-X} + h1, on X and Y broadcast together; P and Q come back
+    beside it for `_artificial_residuals`.
 
-    Built in place, in the order the formulas read, so the values are those
-    of the plain expressions: three full-size arrays, the second surface
-    overwriting P once the first no longer needs it.
+    Built in place, in the order the formula reads, so the values are those
+    of the plain expression.
     """
     P = X * np.exp(r - Y)
     P += h0
@@ -284,12 +283,53 @@ def _artificial_residuals(X, Y, r: float, h0: float, h1: float):
     R1 *= P
     R1 -= X
     R1 += h1
+    return R1, P, Q
+
+
+def _artificial_residuals(X, Y, r: float, h0: float, h1: float):
+    """The residual surfaces R1 (see `_first_residual`) and
+    R2 = Q e^{r-P} - Y + h0 on X and Y broadcast together: three full-size
+    arrays, the second surface overwriting P once the first no longer needs it.
+    """
+    R1, P, Q = _first_residual(X, Y, r, h0, h1)
     R2 = np.subtract(r, P, out=P)
     np.exp(R2, out=R2)
     R2 *= Q
     R2 -= Y
     R2 += h0
     return R1, R2
+
+
+# the (row, column) offsets of a cell's four corners from its own index
+_CORNERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
+
+
+def _seed_cells(xs: np.ndarray, ys: np.ndarray, r: float, h0: float, h1: float) -> np.ndarray:
+    """The (i, j) indices, in row-major order, of the cells of the grid
+    xs x ys across which both residual surfaces change sign.
+
+    R1 falls in y along each row, so a lower-bound search finds each row's
+    first negative column k[i], all rows at once, from about log2(len(ys))
+    evaluations of R1 on one point per row.  Between rows i and i + 1, R1
+    then changes sign exactly on the columns min(k) - 1 .. max(k) - 1, and R2
+    is evaluated only at the corners of those cells.
+    """
+    rows, cols = len(xs), len(ys)
+    k = np.zeros(rows, dtype=np.intp)
+    n = cols  # k + n stays cols, so every probe k + half lies in the row
+    while n > 1:
+        half = n // 2
+        k += half * ~np.signbit(_first_residual(xs, ys[k + half], r, h0, h1)[0])
+        n -= half
+    k += ~np.signbit(_first_residual(xs, ys[k], r, h0, h1)[0])
+    lo = np.maximum(np.minimum(k[:-1], k[1:]) - 1, 0)
+    counts = np.maximum(np.minimum(np.maximum(k[:-1], k[1:]), cols - 1) - lo, 0)
+    I = np.repeat(np.arange(rows - 1), counts)
+    J = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    cells = np.column_stack((I, J))
+    corners = cells + _CORNERS[:, None]
+    s2 = np.signbit(_artificial_residuals(xs[corners[..., 0]], ys[corners[..., 1]], r, h0, h1)[1])
+    return cells[(s2[1:] != s2[0]).any(axis=0)]
 
 
 def _artificial_system(x: float, y: float, r: float, h0: float, h1: float):
@@ -326,12 +366,22 @@ def find_artificial_cycles(
     """Enumerate fixed points of the folded embedded map beyond the 2-cycle.
 
     Scans the trapping rectangle (h1, x_max] x (h0, y_max] on a geometric
-    grid, seeds Newton wherever both residual surfaces change sign across a
-    cell, deduplicates at 1e-6, and drops the root coming from the true
-    2-cycle.  An empty set is a valid outcome and is what global-stability
-    certification requires.  `cycle` is the solved 2-cycle of params, for a
-    caller that already has it; it is solved here otherwise, with the same
-    result.
+    grid x grid lattice, seeds Newton wherever both residual surfaces of
+    `_artificial_residuals` change sign across a cell, deduplicates at 1e-6,
+    and drops the root coming from the true 2-cycle.  An empty set is a valid
+    outcome and is what global-stability certification requires.  `cycle` is
+    the solved 2-cycle of params, for a caller that already has it; it is
+    solved here otherwise, with the same result.
+
+    The seeds are the cells of the full lattice, found without filling it.
+    At fixed x, R1 = P e^{r-Q} - x + h1 falls strictly in y, because
+    P = x e^{r-y} + h0 falls and Q = y e^{r-x} + h1 rises; so R1 changes sign
+    at most once along each row, a search finds that column, and R2 is
+    evaluated only in the band of cells where R1 changes sign (see
+    `_seed_cells`): O(grid log grid) time and O(grid) memory.  In floats the
+    monotonicity is observed, not proven: where rounding makes R1 tie or
+    wobble about zero within a row, a seed can move to a neighbouring cell
+    along the same crossing.
     """
     r, h0, h1 = _require_two_periodic(params)
     if grid < 2:
@@ -341,17 +391,7 @@ def find_artificial_cycles(
     x_max, y_max = _orbit_bounds(r, h0, h1)
     xs = h1 + np.geomspace(1e-9, x_max - h1, grid)
     ys = h0 + np.geomspace(1e-9, y_max - h0, grid)
-    R1, R2 = _artificial_residuals(xs[:, None], ys[None, :], r, h0, h1)
-    s1 = np.signbit(R1)
-    s2 = np.signbit(R2)
-
-    def mixed(s):
-        c = s[:-1, :-1]
-        return (
-            (s[1:, :-1] != c) | (s[:-1, 1:] != c) | (s[1:, 1:] != c)
-        )
-
-    cells = np.argwhere(mixed(s1) & mixed(s2))
+    cells = _seed_cells(xs, ys, r, h0, h1)
     seeds = [(float(xs[i]), float(ys[j])) for i, j in cells]
     seeds.append((cycle.z0, cycle.z1))
 

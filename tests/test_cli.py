@@ -500,6 +500,14 @@ def test_negative_transient_exits_2(capsys):
     assert code == 2 and out == "" and "--transient" in err
 
 
+# NaN fails every comparison, so it passed the check for negative states
+# and the orbit stopped at the overflow guard as a numeric failure (exit 3)
+@pytest.mark.parametrize("x0, xprev", [("nan", "1"), ("1", "nan"), ("inf", "1"), ("1", "inf")])
+def test_orbit_rejects_non_finite_states(capsys, x0, xprev):
+    code, out, err = run(capsys, "orbit", "--r", "1", "--h", "1", "--x0", x0, "--xprev", xprev, "--n", "3")
+    assert code == 2 and out == "" and "finite and non-negative" in err
+
+
 def test_scan_ns_rejects_h_with_the_pair(capsys):
     code, out, err = run(capsys, "scan-ns", "--h", "1", "--h0", "2", "--h1", "3",
                          "--s-lo", "1.0", "--s-hi", "1.6")

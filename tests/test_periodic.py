@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ricker_lab import (
     LocalVerdict,
@@ -25,6 +27,7 @@ from ricker_lab.periodic import (
     _orbit_bounds,
     _reduced_residual,
     _reduced_residual_grid,
+    _seed_cells,
 )
 
 from _oracles import mp_two_cycle, mp_two_cycle_near, orbit_batch
@@ -154,6 +157,63 @@ def test_artificial_residuals_match_plain_formula(key):
     R1, R2 = _artificial_residuals(X, Y, r, h0, h1)
     assert np.array_equal(R1, P * np.exp(r - Q) - X + h1)
     assert np.array_equal(R2, Q * np.exp(r - P) - Y + h0)
+
+
+def _scan_axes(r, h0, h1, grid):
+    x_max, y_max = _orbit_bounds(r, h0, h1)
+    return h1 + np.geomspace(1e-9, x_max - h1, grid), h0 + np.geomspace(1e-9, y_max - h0, grid)
+
+
+def _dense_seed_cells(xs, ys, r, h0, h1):
+    # the reference: both surfaces filled on the whole lattice, and every
+    # cell whose four corners disagree in sign on each
+    R1, R2 = _artificial_residuals(xs[:, None], ys[None, :], r, h0, h1)
+
+    def mixed(s):
+        c = s[:-1, :-1]
+        return (s[1:, :-1] != c) | (s[:-1, 1:] != c) | (s[1:, 1:] != c)
+
+    return np.argwhere(mixed(np.signbit(R1)) & mixed(np.signbit(R2)))
+
+
+_UNIFORM_POINTS = st.tuples(st.floats(0.05, 6.0), st.floats(0.0, 9.0), st.floats(0.0, 9.0))
+_LOG_POINTS = st.tuples(
+    st.floats(math.log(0.02), math.log(20.0)),
+    st.floats(math.log(5e-5), math.log(55.0)),
+    st.floats(math.log(5e-5), math.log(55.0)),
+).map(lambda logs: tuple(math.exp(v) for v in logs))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(point=st.one_of(_UNIFORM_POINTS, _LOG_POINTS), grid=st.sampled_from((2, 3, 7, 128, 1000, 1024)))
+def test_seed_cells_match_the_full_grid(point, grid):
+    # the band search must seed Newton from exactly the cells of the full
+    # grid x grid lattice
+    r, h0, h1 = point
+    xs, ys = _scan_axes(r, h0, h1, grid)
+    assert np.array_equal(_seed_cells(xs, ys, r, h0, h1), _dense_seed_cells(xs, ys, r, h0, h1))
+
+
+def test_seed_cells_match_the_full_grid_on_the_readme_plane():
+    axis = np.linspace(0.3, 3.0, 40)
+    certifiable = [(1.0, float(a), float(b)) for a in axis for b in axis if a != b and min(a, b) >= 1.0]
+    assert len(certifiable) == 812
+    for r, h0, h1 in certifiable:
+        xs, ys = _scan_axes(r, h0, h1, 128)
+        assert np.array_equal(_seed_cells(xs, ys, r, h0, h1), _dense_seed_cells(xs, ys, r, h0, h1)), (h0, h1)
+
+
+def test_artificial_scan_memory_is_not_quadratic_in_the_grid():
+    # two full 1024x1024 surfaces take 24 MiB; the band takes a few rows' worth
+    params = params_of((1.0, 2.0, 1.5))
+    cycle = solve_two_cycle(params)
+    tracemalloc.start()
+    try:
+        find_artificial_cycles(params, 1024, cycle=cycle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_two_cycle_requires_two_periodic():
