@@ -1,6 +1,7 @@
 """Orbit simulation, attractor classification, and eigenvalue-modulus scans."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -15,6 +16,7 @@ from .model import ModelParams
 from .periodic import solve_two_cycle
 
 _OVERFLOW_GUARD = 1e300
+_LOG_GUARD = math.log(_OVERFLOW_GUARD)
 
 
 def simulate(params: ModelParams, x0: float, x_minus1: float, n_steps: int) -> np.ndarray:
@@ -30,17 +32,27 @@ def simulate(params: ModelParams, x0: float, x_minus1: float, n_steps: int) -> n
     if not (0.0 <= x0 < math.inf and 0.0 <= x_minus1 < math.inf):
         raise ValueError("initial states must be finite and non-negative")
     r = params.r
-    stocking = params.stocking
-    p = params.p
-    out = np.empty(n_steps)
-    cur, prev = x0, x_minus1
-    for n in range(n_steps):
-        nxt = cur * math.exp(r - prev) + stocking[n % p]
-        if not math.isfinite(nxt) or nxt > _OVERFLOW_GUARD:
-            raise OrbitOverflow(step=n + 1, value=nxt)
-        out[n] = nxt
-        prev, cur = cur, nxt
-    return out
+    exp = math.exp
+    stocking = itertools.islice(itertools.cycle(params.stocking), n_steps)
+
+    def terms():
+        cur, prev = x0, x_minus1
+        for h in stocking:
+            try:
+                nxt = cur * exp(r - prev) + h
+            except OverflowError:
+                # e^{r - prev} is past the float range, but a small cur can
+                # bring the product back into it, so form the product in logs
+                log_term = math.log(cur) + (r - prev) if cur > 0.0 else -math.inf
+                nxt = (exp(log_term) if log_term <= _LOG_GUARD else math.inf) + h
+            # terms are non-negative, so this also catches inf and NaN
+            if not nxt <= _OVERFLOW_GUARD:
+                # this step has taken its h, so the steps left give its index
+                raise OrbitOverflow(step=n_steps - sum(1 for _ in stocking), value=nxt)
+            yield nxt
+            prev, cur = cur, nxt
+
+    return np.fromiter(terms(), float, count=n_steps)
 
 
 class AttractorKind(str, Enum):
@@ -99,7 +111,10 @@ def classify_attractor(
             transient_used=transient, tolerance=tol,
             value=float(w.mean()), period=1,
         )
-    for k in range(2, max_period + 1):
+    # the full shift test at k includes |w[k] - w[0]| < tol, so only the
+    # periods passing that one comparison can match
+    candidates = np.flatnonzero(np.abs(w[2:max_period + 1] - w[0]) < tol) + 2
+    for k in candidates.tolist():
         if np.max(np.abs(w[k:] - w[:-k])) < tol:
             return OrbitResult(
                 kind=AttractorKind.CYCLE, samples=samples,
@@ -159,8 +174,9 @@ def neimark_sacker_scan(
     quantity is the spectral radius of the equilibrium (p = 1) or composed
     2-cycle Jacobian (p = 2).  The first sign change on a `steps`-point grid
     over s_lo < s_hi is bisected until it is no wider than `refine_width`;
-    `refine_width=0` bisects down to float resolution.  Raises NoCrossing
-    when the radius stays on one side over the whole grid.
+    `refine_width=0` bisects down to float resolution.  The grid is evaluated
+    in order and no point past the first sign change is evaluated.  Raises
+    NoCrossing when the radius stays on one side over the whole grid.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -173,18 +189,18 @@ def neimark_sacker_scan(
             raise ValueError("scans support p = 1 and p = 2 only")
         return spectral[0] - 1.0
 
-    grid = np.linspace(s_lo, s_hi, steps)
-    vals = [excess(float(s)) for s in grid]
-    bracket = None
+    grid = np.linspace(s_lo, s_hi, steps).tolist()
+    flo = excess(grid[0])
     for i in range(steps - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-            bracket = (float(grid[i]), float(grid[i + 1]))
-            flo = vals[i]
+        fhi = excess(grid[i + 1])
+        if flo == 0.0 or flo * fhi < 0.0:
             break
-    if bracket is None:
+        flo = fhi
+    else:
         raise NoCrossing(
             f"eigenvalue modulus stays on one side of 1 over [{s_lo}, {s_hi}]"
         )
+    bracket = (grid[i], grid[i + 1])
     s_star = bisect(lambda s: flo * excess(s) > 0.0, *bracket, width=refine_width)
     params = family(s_star)
     modulus, lead = _modulus_at(params)

@@ -86,6 +86,18 @@ def _orbit_bounds(r: float, h0: float, h1: float) -> tuple[float, float]:
     return x_max, y_max
 
 
+def _geomspace(lo: float, hi: float, n: int) -> np.ndarray:
+    """`np.geomspace(lo, hi, n)` for positive scalar ends and n >= 2, bit for
+    bit: the same log10, linspace and power steps without its argument
+    handling, which costs several times the arithmetic at these sizes.  Both
+    ends are pinned, as numpy pins them."""
+    log_lo, log_hi = np.log10(lo), np.log10(hi)
+    y = np.arange(n, dtype=float) * ((log_hi - log_lo) / (n - 1)) + log_lo
+    out = np.power(10.0, y)
+    out[0], out[-1] = lo, hi
+    return out
+
+
 def _cycle_system(z0: float, z1: float, r: float, h0: float, h1: float):
     """The 2-cycle residuals and their Jacobian in (z0, z1)."""
     f0 = math.exp(r - z0)
@@ -134,7 +146,7 @@ def _scan_cycle_roots(r: float, h0: float, h1: float, n_grid: int = 4096) -> lis
     # z0 - h1 = z1 e^{r - z0} falls below 1e-9 when h1 is far above r; the
     # residual is negative next to h1, so one point at its float resolution
     # brackets such a root
-    offsets = np.geomspace(1e-9, hi_cap - h1, n_grid)
+    offsets = _geomspace(1e-9, hi_cap - h1, n_grid)
     grid = h1 + np.concatenate(([min(math.ulp(h1), 1e-9)], offsets))
     sign = np.sign(_reduced_residual_grid(grid, r, h0, h1, y_max))
     system = lambda z0, z1: _cycle_system(z0, z1, r, h0, h1)
@@ -389,8 +401,8 @@ def find_artificial_cycles(
     if cycle is None:
         cycle = solve_two_cycle(params)
     x_max, y_max = _orbit_bounds(r, h0, h1)
-    xs = h1 + np.geomspace(1e-9, x_max - h1, grid)
-    ys = h0 + np.geomspace(1e-9, y_max - h0, grid)
+    xs = h1 + _geomspace(1e-9, x_max - h1, grid)
+    ys = h0 + _geomspace(1e-9, y_max - h0, grid)
     cells = _seed_cells(xs, ys, r, h0, h1)
     seeds = [(float(xs[i]), float(ys[j])) for i, j in cells]
     seeds.append((cycle.z0, cycle.z1))

@@ -508,6 +508,31 @@ def test_orbit_rejects_non_finite_states(capsys, x0, xprev):
     assert code == 2 and out == "" and "finite and non-negative" in err
 
 
+# math.exp(r - prev) overflows above r - prev of about 709.78, which was a
+# bare OverflowError (exit 1)
+def test_orbit_past_exp_overflow_is_a_numeric_failure(capsys):
+    code, out, err = run(capsys, "orbit", "--r", "800", "--h", "1", "--x0", "1", "--xprev", "1", "--n", "3")
+    assert code == 3 and out == "" and "at step 1" in err and "Traceback" not in err
+
+
+def test_orbit_from_zero_past_exp_overflow(capsys):
+    code, out, _ = run(capsys, "orbit", "--r", "800", "--h", "1", "--x0", "0", "--xprev", "0", "--n", "1")
+    assert code == 0
+    n, xn, _, _ = out.strip().splitlines()[1].split(",")
+    assert n == "1" and float(xn) == 1.0
+
+
+# grid points past the first bracket are not evaluated: the trapping bounds
+# overflow at the last point, r = 400, which used to exit 3
+def test_scan_ns_stops_at_its_first_bracket(capsys):
+    code, out, err = run(capsys, "scan-ns", "--h0", "1", "--h1", "2", "--s-lo", "0.5", "--s-hi", "400",
+                         "--steps", "5", "--json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert (payload["s_lo"], payload["s_hi"]) == (0.5, 100.375)
+    assert payload["kind"] == "two-cycle"
+
+
 def test_scan_ns_rejects_h_with_the_pair(capsys):
     code, out, err = run(capsys, "scan-ns", "--h", "1", "--h0", "2", "--h1", "3",
                          "--s-lo", "1.0", "--s-hi", "1.6")

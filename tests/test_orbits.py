@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ricker_lab
 from ricker_lab import (
@@ -19,6 +20,8 @@ from ricker_lab import (
     simulate,
     solve_two_cycle,
 )
+from ricker_lab import orbits
+from ricker_lab._roots import bisect
 from ricker_lab.errors import NoCrossing, OrbitOverflow
 
 from _oracles import orbit_batch
@@ -186,3 +189,191 @@ def test_ns_scan_zero_width_stops_at_float_resolution():
                           env=env, timeout=30)
     assert done.returncode == 0, done.stderr
     assert abs(float(done.stdout) - (2.0 - math.log(2.0))) <= 4e-16
+
+
+def _reference_simulate(params, x0, x_minus1, n_steps):
+    """The per-step loop simulate ran before, kept as its reference."""
+    out = np.empty(n_steps)
+    cur, prev = x0, x_minus1
+    for n in range(n_steps):
+        nxt = cur * math.exp(params.r - prev) + params.stocking[n % params.p]
+        if not math.isfinite(nxt) or nxt > 1e300:
+            raise OrbitOverflow(step=n + 1, value=nxt)
+        out[n] = nxt
+        prev, cur = cur, nxt
+    return out
+
+
+# r stays below 700, where e^{r - prev} itself is representable, so the
+# reference loop never raises a bare OverflowError
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    r=st.one_of(st.floats(0.01, 8.0), st.floats(8.0, 700.0)),
+    stocking=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=3),
+    x0=st.floats(0.0, 100.0),
+    x_minus1=st.floats(0.0, 100.0),
+    n_steps=st.integers(1, 400),
+)
+def test_simulate_matches_the_per_step_loop(r, stocking, x0, x_minus1, n_steps):
+    params = ModelParams(r=r, stocking=tuple(stocking))
+    try:
+        expected = _reference_simulate(params, x0, x_minus1, n_steps)
+    except OrbitOverflow as ref:
+        with pytest.raises(OrbitOverflow) as exc:
+            simulate(params, x0, x_minus1, n_steps)
+        assert exc.value.step == ref.step
+        assert exc.value.value == ref.value or not math.isfinite(ref.value)
+        return
+    assert np.array_equal(simulate(params, x0, x_minus1, n_steps), expected)
+
+
+@pytest.mark.parametrize("stocking", [(1.0,), (0.82, 1.8), (0.5, 1.0, 2.0)])
+def test_simulate_matches_the_per_step_loop_on_long_orbits(stocking):
+    params = ModelParams(r=1.5, stocking=stocking)
+    assert np.array_equal(simulate(params, 1.0, 1.05, 14_096),
+                          _reference_simulate(params, 1.0, 1.05, 14_096))
+
+
+def test_simulate_past_exp_overflow():
+    # e^{r - prev} is past the float range at r = 800
+    with pytest.raises(OrbitOverflow) as exc:
+        simulate(ModelParams.constant(800.0, 1.0), 1.0, 1.0, 3)
+    assert exc.value.step == 1 and exc.value.value == math.inf
+    # a zero state times any growth factor is zero, so the term is h
+    assert simulate(ModelParams.constant(800.0, 1.0), 0.0, 0.0, 1).tolist() == [1.0]
+    # a small state brings the product back into range, x_1 = 1e-300 e^{800};
+    # x_2 = x_1 e^{800 - 1e-300} is past the guard
+    with pytest.raises(OrbitOverflow) as exc:
+        simulate(ModelParams.constant(800.0, 0.0), 1e-300, 0.0, 3)
+    assert exc.value.step == 2
+    x1 = simulate(ModelParams.constant(800.0, 0.0), 1e-300, 0.0, 1)[0]
+    assert x1 == pytest.approx(math.exp(800.0 + math.log(1e-300)), rel=1e-12)
+
+
+def _reference_period(w, tol, max_period):
+    """The period the 63-comparison loop picked: 1 for a collapsed window,
+    the smallest matching k, or None."""
+    if w.max() - w.min() < tol:
+        return 1
+    for k in range(2, max_period + 1):
+        if np.max(np.abs(w[k:] - w[:-k])) < tol:
+            return k
+    return None
+
+
+def _classify_window(w, tol):
+    """classify_attractor on a window given directly, with no transient."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbits, "simulate", lambda params, x0, x_minus1, n: w)
+        return classify_attractor(ModelParams.constant(0.5, 1.0), 1.0, 1.0, transient=0,
+                                  window=w.size, tol=tol)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    period=st.integers(2, 64),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from((0.0, 0.3, 0.9, 1.1, 3.0)),
+    tol=st.sampled_from((0.0, 1e-6, 1e-3)),
+)
+def test_classify_picks_the_period_of_the_full_loop(period, seed, noise, tol):
+    rng = np.random.default_rng(seed)
+    w = np.tile(rng.uniform(1.0, 5.0, period), 4096 // period + 1)[:4096]
+    w = w + noise * tol * rng.uniform(-0.5, 0.5, w.size)
+    res = _classify_window(w, tol)
+    assert res.period == _reference_period(w, tol, 64)
+    if res.period is not None and res.period > 1:
+        assert res.kind is AttractorKind.CYCLE
+        assert res.points == tuple(w[-res.period:].tolist())
+
+
+def test_classify_skips_a_period_that_matches_only_at_the_start():
+    # period 3 except for one late entry: |w[3] - w[0]| < tol holds but the
+    # full shift test at 3 fails, and the window repeats with period 6
+    w = np.tile([1.0, 2.0, 3.0, 1.0, 2.0, 3.5], 700)[:4096]
+    assert abs(w[3] - w[0]) < 1e-6
+    res = _classify_window(w, 1e-6)
+    assert res.kind is AttractorKind.CYCLE and res.period == 6 == _reference_period(w, 1e-6, 64)
+
+
+def test_classify_with_zero_tolerance_finds_no_period():
+    w = np.tile([1.0, 2.0], 2048)
+    res = _classify_window(w, 0.0)
+    assert res.period is None and _reference_period(w, 0.0, 64) is None
+    assert res.kind is AttractorKind.UNRESOLVED
+
+
+def _reference_ns_scan(family, s_lo, s_hi, steps=101, refine_width=1e-8):
+    """The scan before it stopped at its first bracket: every grid point is
+    evaluated, then the first sign change is bisected."""
+    excess = lambda s: orbits._modulus_at(family(s))[0] - 1.0
+    grid = np.linspace(s_lo, s_hi, steps)
+    vals = [excess(float(s)) for s in grid]
+    for i in range(steps - 1):
+        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
+            bracket = (float(grid[i]), float(grid[i + 1]))
+            flo = vals[i]
+            break
+    else:
+        raise NoCrossing("no crossing")
+    s_star = bisect(lambda s: flo * excess(s) > 0.0, *bracket, width=refine_width)
+    params = family(s_star)
+    modulus, lead = orbits._modulus_at(params)
+    return orbits.CrossingReport(
+        s_lo=bracket[0], s_hi=bracket[1], s_star=s_star, modulus=modulus,
+        argument=math.atan2(abs(lead.imag), lead.real), complex_pair=lead.imag != 0.0,
+        kind="equilibrium" if params.p == 1 else "two-cycle",
+    )
+
+
+# the scan-ns cases of tests/data/cli_points_golden.jsonl: (stocking, s_lo, s_hi, steps)
+_GOLDEN_SCANS = [
+    *(((h,), 0.5, h + 1.0 - math.log(h + 1.0) + 0.3, 101) for h in (0.3, 1.0, 2.6, 5.0)),
+    ((1.0,), 1.0, 1.6, 7),
+    ((2.0, 1.5), 0.5, 3.5, 101),
+    ((0.82, 1.8), 0.5, 2.5, 101),
+]
+
+
+@pytest.mark.parametrize("stocking, s_lo, s_hi, steps", _GOLDEN_SCANS)
+def test_ns_scan_matches_the_full_grid_and_stops_at_its_bracket(stocking, s_lo, s_hi, steps):
+    calls = []
+
+    def family(s):
+        calls.append(s)
+        return ModelParams(r=s, stocking=stocking)
+
+    report = neimark_sacker_scan(family, s_lo, s_hi, steps=steps)
+    scanned = list(calls)
+    assert report == _reference_ns_scan(family, s_lo, s_hi, steps)
+    # grid points 0 .. i + 1 in order, the bisection inside [grid[i], grid[i+1]],
+    # then the crossing itself
+    grid = np.linspace(s_lo, s_hi, steps).tolist()
+    i = grid.index(report.s_lo)
+    assert scanned[:i + 2] == grid[:i + 2] and grid[i + 1] == report.s_hi
+    bisections = scanned[i + 2:-1]
+    assert len(bisections) <= math.ceil(math.log2((report.s_hi - report.s_lo) / 1e-8))
+    assert all(report.s_lo < s < report.s_hi for s in bisections)
+    assert scanned[-1] == report.s_star
+    assert len(scanned) <= i + 2 + len(bisections) + 1 < steps + len(bisections) + 1
+
+
+def test_ns_scan_without_a_crossing_evaluates_every_point():
+    calls = []
+
+    def family(s):
+        calls.append(s)
+        return ModelParams.constant(s, 1.0)
+
+    with pytest.raises(NoCrossing):
+        neimark_sacker_scan(family, 0.1, 1.0, steps=37)
+    assert calls == np.linspace(0.1, 1.0, 37).tolist()
+
+
+def test_ns_scan_never_evaluates_past_its_bracket():
+    # the trapping bounds overflow at r = 400, the last of the five grid
+    # points; the first sign change lies in [0.5, 100.375], so it is not reached
+    report = neimark_sacker_scan(lambda s: ModelParams.two_periodic(s, 1.0, 2.0), 0.5, 400.0, steps=5)
+    assert (report.s_lo, report.s_hi) == (0.5, 100.375)
+    assert report.kind == "two-cycle" and report.complex_pair
+    assert report.modulus == pytest.approx(1.0, abs=1e-7)

@@ -24,6 +24,7 @@ from ricker_lab.periodic import (
     RULE_DET_BELOW_ONE,
     _artificial_residuals,
     _cycle_residuals,
+    _geomspace,
     _orbit_bounds,
     _reduced_residual,
     _reduced_residual_grid,
@@ -157,6 +158,16 @@ def test_artificial_residuals_match_plain_formula(key):
     R1, R2 = _artificial_residuals(X, Y, r, h0, h1)
     assert np.array_equal(R1, P * np.exp(r - Q) - X + h1)
     assert np.array_equal(R2, Q * np.exp(r - P) - Y + h0)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    lo=st.floats(1e-12, 1e6),
+    hi=st.floats(1e-12, 1e6),
+    n=st.one_of(st.sampled_from((2, 3, 7, 128, 1000, 1024, 4096)), st.integers(2, 5000)),
+)
+def test_geomspace_matches_numpy(lo, hi, n):
+    assert np.array_equal(_geomspace(lo, hi, n), np.geomspace(lo, hi, n))
 
 
 def _scan_axes(r, h0, h1, grid):
