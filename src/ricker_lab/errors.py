@@ -25,10 +25,6 @@ class BracketFailure(RickerLabError):
     """A root bracket that should exist by construction could not be found."""
 
 
-class CountMismatch(RickerLabError):
-    """Numeric root count disagrees with the analytic case prediction."""
-
-
 class Infeasible(RickerLabError):
     """No compatible box exists for the requested parameters."""
 

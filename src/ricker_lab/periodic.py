@@ -24,7 +24,6 @@ from ._roots import bisect, newton_2d
 from .embedding import BoxRegion, build_folded_embedding
 from .errors import (
     ContradictionDetected,
-    CountMismatch,
     NonConvergence,
     PreconditionViolated,
     WitnessConstructionFailed,
@@ -124,67 +123,56 @@ def _reduced_residual(z0: float, r: float, h0: float, h1: float, y_max: float) -
     return z1 - h0 - z0 * math.exp(r - z1)
 
 
-def _reduced_residual_grid(z0: np.ndarray, r: float, h0: float, h1: float, y_max: float) -> np.ndarray:
-    """`_reduced_residual` at every point of z0, as one array expression."""
-    s = np.log(z0 - h1) + z0 - r
-    z1 = np.exp(np.where(s < 690.0, s, np.inf))
-    inside = np.isfinite(z1) & (z1 <= 10.0 * y_max)
-    return np.where(inside, z1 - h0 - z0 * np.exp(r - z1), 1e18)
-
-
-def _scan_cycle_roots(r: float, h0: float, h1: float, n_grid: int = 4096) -> list[tuple[float, float]]:
-    """All 2-cycle solutions via the scalar reduction z1 = (z0 - h1) e^{z0 - r}.
-
-    Substituting the first cycle equation into the second leaves one equation
-    in z0 on (h1, inf); every sign change is bisected and Newton-polished in
-    the full 2D system.  The grid is evaluated as arrays, whose exp and log
-    may differ from `math` in the last bit; only its signs are used, and the
-    bisection runs on the scalar residual.
-    """
-    x_max, y_max = _orbit_bounds(r, h0, h1)
-    hi_cap = min(x_max, max(h1 + 2.0, r + math.log(y_max + 1.0) + 2.0))
-    # z0 - h1 = z1 e^{r - z0} falls below 1e-9 when h1 is far above r; the
-    # residual is negative next to h1, so one point at its float resolution
-    # brackets such a root
-    offsets = _geomspace(1e-9, hi_cap - h1, n_grid)
-    grid = h1 + np.concatenate(([min(math.ulp(h1), 1e-9)], offsets))
-    sign = np.sign(_reduced_residual_grid(grid, r, h0, h1, y_max))
-    system = lambda z0, z1: _cycle_system(z0, z1, r, h0, h1)
-    roots: list[tuple[float, float]] = []
-    for i in np.where(np.diff(sign) != 0)[0]:
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        flo = _reduced_residual(lo, r, h0, h1, y_max)
-        if not math.isfinite(flo):
-            continue
-        z0 = bisect(lambda t: flo * _reduced_residual(t, r, h0, h1, y_max) > 0.0, lo, hi)
-        z0, z1 = newton_2d(system, z0, _reduced_z1(z0, r, h1))
-        q1, q2 = _cycle_residuals(z0, z1, r, h0, h1)
-        if max(abs(q1), abs(q2)) < _RESIDUAL_TOL and z0 > h1 and z1 > h0:
-            if not any(abs(z0 - a) < 1e-6 and abs(z1 - b) < 1e-6 for a, b in roots):
-                roots.append((z0, z1))
-    return sorted(roots)
-
-
 def solve_two_cycle(params: ModelParams) -> TwoCycleReport:
     """Solve the 2-cycle equations and classify it with Jury's test.
 
-    One sign scan of the scalar reduction locates the 2-cycle, stable or
-    not, and a damped Newton polish of the 2D residuals refines it.  The
-    scan must find exactly one admissible root.
+    The first cycle equation gives z1 = (z0 - h1) e^{z0 - r}, and the second
+    leaves the scalar reduction F(z0) = z1 - h0 - z0 e^{r - z1} on
+    (h1, inf).  F has exactly one zero there, the 2-cycle, stable or not.
+    At a zero, d0 = z0 - h1 = z1 e^{r - z0} > 0 and
+    d1 = z1 - h0 = z0 e^{r - z1} > 0, and
+
+        F'(z0) = e^{z0 - r} [(1 + d0)(1 + d1) - d0 d1 / (z0 z1)] > 0,
+
+    because d0 <= z0 and d1 <= z1.  Every zero is a strict upward crossing,
+    so between two of them F would have to cross downwards: there is at most
+    one.  As z0 falls to h1, F tends to -h0 - h1 e^r < 0.  The zero lies
+    below hi = min(x_max, max(h1 + 2, r + log(y_max + 1) + 2)):
+    z0 - h1 = h0 e^{r-z0} + z0 e^{-z0} e^{2r-z1} < h0 e^r + e^{2r}, so
+    z0 < x_max, and likewise z1 < y_max, so for z0 >= r + log(y_max + 1) + 2
+    the offset z0 - h1 = z1 e^{r-z0} is below 1.  One bisection of F on
+    [nextafter(h1), hi] therefore finds the 2-cycle, and a damped Newton
+    polish of the 2D residuals refines it.
+
+    Where h1 is far above r, z0 - h1 can lie below the float resolution of
+    h1; F is then already positive at the lower end, and the solve raises
+    NonConvergence, as it does for a polished pair that fails the residual
+    check or is not above (h1, h0) in floats.
     """
     r, h0, h1 = _require_two_periodic(params)
-    roots = _scan_cycle_roots(r, h0, h1)
-    if not roots:
+    x_max, y_max = _orbit_bounds(r, h0, h1)
+    residual = lambda z0: _reduced_residual(z0, r, h0, h1, y_max)
+    lo = math.nextafter(h1, math.inf)
+    hi = min(x_max, max(h1 + 2.0, r + math.log(y_max + 1.0) + 2.0))
+    if not residual(lo) < 0.0:
         raise NonConvergence(
-            f"no 2-cycle found for r={r}, h=({h0}, {h1}); scan produced no sign change"
+            f"no 2-cycle resolvable for r={r}, h=({h0}, {h1}): z0 - h1 lies below "
+            f"the float resolution of h1={h1}"
         )
-    if len(roots) > 1:
-        raise CountMismatch(
-            f"{len(roots)} 2-cycles found for r={r}, h=({h0}, {h1}); expected one"
-        )
-
-    z0, z1 = roots[0]
+    if not residual(hi) > 0.0:
+        raise NonConvergence(f"2-cycle bracket failed for r={r}, h=({h0}, {h1}) at z0={hi}")
+    z0 = bisect(lambda t: residual(t) < 0.0, lo, hi)
+    z0, z1 = newton_2d(lambda z0, z1: _cycle_system(z0, z1, r, h0, h1), z0, _reduced_z1(z0, r, h1))
     q1, q2 = _cycle_residuals(z0, z1, r, h0, h1)
+    if not max(abs(q1), abs(q2)) < _RESIDUAL_TOL:
+        raise NonConvergence(
+            f"2-cycle polish for r={r}, h=({h0}, {h1}) left residuals ({q1}, {q2})"
+        )
+    if not (z0 > h1 and z1 > h0):
+        raise NonConvergence(
+            f"no 2-cycle resolvable for r={r}, h=({h0}, {h1}): the solved pair ({z0}, {z1}) "
+            "is not above (h1, h0), so z0 - h1 or z1 - h0 lies below the float resolution"
+        )
     # a zero product is rounding: with both residuals under _RESIDUAL_TOL,
     # z0 == z1 forces |h0 - h1| below twice that, as for h0, h1 an ulp apart
     if (h0 - h1) * (z1 - z0) < 0.0:
@@ -280,11 +268,12 @@ class ArtificialCycleSet:
 
 def _first_residual(X, Y, r: float, h0: float, h1: float):
     """The residual R1 = P e^{r-Q} - X + h1, with P = X e^{r-Y} + h0 and
-    Q = Y e^{r-X} + h1, on X and Y broadcast together; P and Q come back
-    beside it for `_artificial_residuals`.
+    Q = Y e^{r-X} + h1, on X and Y broadcast together.
 
     Built in place, in the order the formula reads, so the values are those
-    of the plain expression.
+    of the plain expression.  With the roles swapped it is the second
+    residual, bit for bit: `_first_residual(Y, X, r, h1, h0)` is
+    R2 = Q e^{r-P} - Y + h0, since the swap exchanges P and Q.
     """
     P = X * np.exp(r - Y)
     P += h0
@@ -295,21 +284,7 @@ def _first_residual(X, Y, r: float, h0: float, h1: float):
     R1 *= P
     R1 -= X
     R1 += h1
-    return R1, P, Q
-
-
-def _artificial_residuals(X, Y, r: float, h0: float, h1: float):
-    """The residual surfaces R1 (see `_first_residual`) and
-    R2 = Q e^{r-P} - Y + h0 on X and Y broadcast together: three full-size
-    arrays, the second surface overwriting P once the first no longer needs it.
-    """
-    R1, P, Q = _first_residual(X, Y, r, h0, h1)
-    R2 = np.subtract(r, P, out=P)
-    np.exp(R2, out=R2)
-    R2 *= Q
-    R2 -= Y
-    R2 += h0
-    return R1, R2
+    return R1
 
 
 # the (row, column) offsets of a cell's four corners from its own index
@@ -331,21 +306,22 @@ def _seed_cells(xs: np.ndarray, ys: np.ndarray, r: float, h0: float, h1: float) 
     n = cols  # k + n stays cols, so every probe k + half lies in the row
     while n > 1:
         half = n // 2
-        k += half * ~np.signbit(_first_residual(xs, ys[k + half], r, h0, h1)[0])
+        k += half * ~np.signbit(_first_residual(xs, ys[k + half], r, h0, h1))
         n -= half
-    k += ~np.signbit(_first_residual(xs, ys[k], r, h0, h1)[0])
+    k += ~np.signbit(_first_residual(xs, ys[k], r, h0, h1))
     lo = np.maximum(np.minimum(k[:-1], k[1:]) - 1, 0)
     counts = np.maximum(np.minimum(np.maximum(k[:-1], k[1:]), cols - 1) - lo, 0)
     I = np.repeat(np.arange(rows - 1), counts)
     J = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
     cells = np.column_stack((I, J))
     corners = cells + _CORNERS[:, None]
-    s2 = np.signbit(_artificial_residuals(xs[corners[..., 0]], ys[corners[..., 1]], r, h0, h1)[1])
+    s2 = np.signbit(_first_residual(ys[corners[..., 1]], xs[corners[..., 0]], r, h1, h0))
     return cells[(s2[1:] != s2[0]).any(axis=0)]
 
 
 def _artificial_system(x: float, y: float, r: float, h0: float, h1: float):
-    """`_artificial_residuals` at one point, with their Jacobian in (x, y)."""
+    """The residuals R1 and R2 of `_first_residual` at one point, with their
+    Jacobian in (x, y)."""
     a1 = math.exp(r - y)
     a2 = math.exp(r - x)
     P = x * a1 + h0
@@ -378,8 +354,8 @@ def find_artificial_cycles(
     """Enumerate fixed points of the folded embedded map beyond the 2-cycle.
 
     Scans the trapping rectangle (h1, x_max] x (h0, y_max] on a geometric
-    grid x grid lattice, seeds Newton wherever both residual surfaces of
-    `_artificial_residuals` change sign across a cell, deduplicates at 1e-6,
+    grid x grid lattice, seeds Newton wherever both residual surfaces R1 and
+    R2 (see `_first_residual`) change sign across a cell, deduplicates at 1e-6,
     and drops the root coming from the true 2-cycle.  An empty set is a valid
     outcome and is what global-stability certification requires.  `cycle` is
     the solved 2-cycle of params, for a caller that already has it; it is

@@ -197,6 +197,18 @@ def test_periodic_trapping_bound_overflow_is_a_typed_error(capsys, argv, r):
     assert "trapping bounds overflow" in err and "Traceback" not in err
 
 
+# h1 far above r: z0 - h1 = z1 e^{r - z0} is below the float resolution of
+# h1, about 6e-21 against 1.4e-14 at h1 = 91; from h1 = 2^23 on the 2-cycle
+# solve used to take log(0) and exit 2 with a math domain error
+@pytest.mark.parametrize("point", [("40", "90", "91"), ("1", "2", "1e8")])
+@pytest.mark.parametrize("command", ["two-cycle", "certify"])
+def test_two_cycle_offset_below_float_resolution_is_a_typed_error(capsys, command, point):
+    r, h0, h1 = point
+    code, out, err = run(capsys, command, "--r", r, "--h0", h0, "--h1", h1)
+    assert code == 3 and out == ""
+    assert "z0 - h1 lies below the float resolution of h1" in err and "Traceback" not in err
+
+
 def test_orbit_csv_single_row(capsys):
     code, out, _ = run(capsys, "orbit", "--r", "1", "--h", "1", "--x0", "1", "--xprev", "1", "--n", "1")
     assert code == 0

@@ -4,7 +4,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ricker_lab import (
     LocalVerdict,
@@ -17,17 +17,19 @@ from ricker_lab import (
     solve_two_cycle,
 )
 from ricker_lab import periodic
-from ricker_lab.errors import CountMismatch
+from ricker_lab._roots import bisect, newton_2d
+from ricker_lab.errors import NonConvergence
 from ricker_lab.periodic import (
     RULE_CYCLE_LAS,
     RULE_CYCLE_UNSTABLE,
     RULE_DET_BELOW_ONE,
-    _artificial_residuals,
     _cycle_residuals,
+    _cycle_system,
+    _first_residual,
     _geomspace,
     _orbit_bounds,
     _reduced_residual,
-    _reduced_residual_grid,
+    _reduced_z1,
     _seed_cells,
 )
 
@@ -88,7 +90,7 @@ def test_two_cycle_reports_match_reference_stable_cases():
 
 
 def test_two_cycle_unstable_case():
-    # period-doubled regime: the 2-cycle repels, and the scan still finds it
+    # period-doubled regime: the 2-cycle repels, and the solve still finds it
     rep = solve_two_cycle(params_of((3.0, 2.0, 6.444)))
     assert rep.local_verdict is LocalVerdict.UNSTABLE
     assert rep.det < 1.0  # determinant alone does not decide stability here
@@ -97,9 +99,48 @@ def test_two_cycle_unstable_case():
     assert abs(lam[1]) > 2.0
 
 
+# r and both stocking values small, where the 2-cycle sits next to the
+# diagonal and its solve is tens of ulps off at some points; these are the
+# points of a log-uniform audit whose roots the bisection moved and left
+# within 2 ulps of the 40-digit root
+SMALL_R_POINTS = [
+    (0.010281805072557703, 0.00017487520095740716, 0.0003785607838377908),
+    (0.012049928309048137, 0.026246596385902675, 0.000277833970143178),
+    (0.012419516610850157, 0.0061137832152539946, 2.388559822499091e-06),
+    (0.013792884459271343, 0.004146577763875342, 0.05229374399616955),
+    (0.014219187805620346, 0.2100292038368713, 2.0772486034280345e-05),
+    (0.024663732044393177, 0.03962548368514531, 0.010051639110173862),
+    (0.025321480502586355, 0.0006375709928293646, 0.0011185872327814663),
+    (0.029013768917978095, 0.026615606178363994, 0.00022654137178900954),
+    (0.03215253439373621, 0.00041251496792082054, 3.400431845034695e-05),
+    (0.032297047256666114, 0.01606586694386708, 1.587379535097316e-06),
+    (0.0353529408175843, 0.008203157068380469, 2.5615054696895655e-06),
+    (0.03819295224947057, 1.73410270353321e-05, 1.1605874762265416e-05),
+    (0.04137128287035782, 0.0002501882691996706, 3.679716688539752e-05),
+    (0.0415281007686668, 3.985771182449621e-05, 0.010420391660290308),
+    (0.048708048820256734, 0.00010456140719088963, 1.1407121375709972e-06),
+    (0.06716999365470826, 0.05653626731594396, 0.004566254458446156),
+    (0.07512407457397681, 1.6443405619351616e-06, 0.0004520135623248901),
+    (0.08715447779011203, 0.010150227110418072, 1.975036297607936e-06),
+    (0.08735477182005746, 0.030271116304785354, 0.005800195381711004),
+    (0.10484053662530943, 0.0006070792459110699, 4.345615494229908e-05),
+    (0.10515937311583777, 2.0995731183402766e-05, 8.231802828444662e-05),
+    (0.10772941277494835, 0.008347457413303748, 1.5510746447575892e-05),
+    (0.11954075479364099, 0.00014656158263237886, 2.8020578387491902e-05),
+    (0.11971828552844732, 1.4913105816461058e-05, 9.43656681694371e-05),
+    (0.12286156674935332, 0.00013876037414347164, 1.091845070579853e-05),
+    (0.13405535124898482, 0.003270570469250472, 0.000873102402735492),
+    (0.14887532798308764, 0.00013852362001086526, 0.007985945262178067),
+    (0.18845809757626814, 4.327198893563983e-06, 5.61581665983832e-05),
+    (0.2038130180307211, 0.00042571481253139026, 7.714444558851177e-06),
+    (0.21216513755654776, 0.005826751397168007, 5.216284466860571e-05),
+    (0.28637090868535653, 9.052287683305635e-06, 0.00016940547437039645),
+]
+
+
 def test_two_cycle_within_two_ulps_of_mpmath():
-    # the README plane at 10x10 plus seeded random points; the scan's bracket
-    # and the Newton polish leave the last bits, which no golden file pins
+    # the README plane at 10x10 plus seeded random points; the bisection and
+    # the Newton polish leave the last bits, which no golden file pins
     axis = np.linspace(0.3, 3.0, 10)
     points = [(1.0, float(a), float(b)) for a in axis for b in axis if a != b]
     rng = np.random.default_rng(2061)
@@ -108,9 +149,10 @@ def test_two_cycle_within_two_ulps_of_mpmath():
         for r, h0, h1 in zip(rng.uniform(0.3, 4.5, 150), rng.uniform(0.0, 9.0, 150),
                              rng.uniform(0.0, 9.0, 150))
     ]
-    # h1 far above r: z0 - h1 = z1 e^{r - z0}, about 1e-12, lies far below
-    # the scan's 1e-9 grid start
+    # h1 far above r: z0 - h1 = z1 e^{r - z0} is 2.3e-12 or 2.5e-13, only 645
+    # or 69 ulps of h1
     points += [(1.0, 9.0, 30.0), (1.0, 30.0, 9.0), (0.5, 8.7, 31.7)]
+    points += SMALL_R_POINTS
     verdicts = set()
     for r, h0, h1 in points:
         rep = solve_two_cycle(ModelParams(r=r, stocking=(h0, h1)))
@@ -122,19 +164,128 @@ def test_two_cycle_within_two_ulps_of_mpmath():
     assert verdicts == {LocalVerdict.LAS, LocalVerdict.UNSTABLE}
 
 
-def test_two_cycle_rejects_a_second_root(monkeypatch):
-    key = (3.0, 2.0, 6.444)
-    root = periodic._scan_cycle_roots(*key)[0]
-    monkeypatch.setattr(periodic, "_scan_cycle_roots",
-                        lambda r, h0, h1: [root, (root[0] + 1.0, root[1] + 1.0)])
-    with pytest.raises(CountMismatch, match="2 2-cycles"):
-        solve_two_cycle(params_of(key))
+def _reduced_residual_grid(z0, r, h0, h1, y_max):
+    # `_reduced_residual` at every point of z0, as one array expression
+    s = np.log(z0 - h1) + z0 - r
+    z1 = np.exp(np.where(s < 690.0, s, np.inf))
+    inside = np.isfinite(z1) & (z1 <= 10.0 * y_max)
+    return np.where(inside, z1 - h0 - z0 * np.exp(r - z1), 1e18)
+
+
+def _dense_cycle_roots(r, h0, h1, n_grid=4096):
+    # the reference: the reduced residual's signs on a 4096-point geometric
+    # grid, every sign change bisected and Newton-polished, roots deduplicated
+    # at 1e-6; returns the admissible roots and the number of sign changes
+    x_max, y_max = _orbit_bounds(r, h0, h1)
+    hi_cap = min(x_max, max(h1 + 2.0, r + math.log(y_max + 1.0) + 2.0))
+    offsets = _geomspace(1e-9, hi_cap - h1, n_grid)
+    grid = h1 + np.concatenate(([min(math.ulp(h1), 1e-9)], offsets))
+    sign = np.sign(_reduced_residual_grid(grid, r, h0, h1, y_max))
+    changes = np.where(np.diff(sign) != 0)[0]
+    system = lambda z0, z1: _cycle_system(z0, z1, r, h0, h1)
+    roots = []
+    for i in changes:
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        flo = _reduced_residual(lo, r, h0, h1, y_max)
+        z0 = bisect(lambda t: flo * _reduced_residual(t, r, h0, h1, y_max) > 0.0, lo, hi)
+        z0, z1 = newton_2d(system, z0, _reduced_z1(z0, r, h1))
+        q1, q2 = _cycle_residuals(z0, z1, r, h0, h1)
+        if max(abs(q1), abs(q2)) < 1e-10 and z0 > h1 and z1 > h0:
+            if not any(abs(z0 - a) < 1e-6 and abs(z1 - b) < 1e-6 for a, b in roots):
+                roots.append((z0, z1))
+    return sorted(roots), len(changes)
+
+
+def _solved_or_none(r, h0, h1):
+    try:
+        rep = solve_two_cycle(ModelParams(r=r, stocking=(h0, h1)))
+    except NonConvergence:
+        return None
+    return rep.z0, rep.z1
+
+
+def _sign_ambiguous_floats(r, h0, h1, a, b, pad=64):
+    # the first float where the float residual is not negative and the last
+    # where it is, among the floats from pad ulps below min(a, b) to pad ulps
+    # above max(a, b); the first lies below the last only where the float
+    # residual crosses zero more than once
+    y_max = _orbit_bounds(r, h0, h1)[1]
+    t, hi = min(a, b), max(a, b)
+    for _ in range(pad):
+        t, hi = math.nextafter(t, -math.inf), math.nextafter(hi, math.inf)
+    first = last = None
+    while t <= hi:
+        if _reduced_residual(t, r, h0, h1, y_max) < 0.0:
+            last = t
+        elif first is None:
+            first = t
+        t = math.nextafter(t, math.inf)
+    return first, last
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(point=st.tuples(st.floats(0.3, 4.5), st.floats(0.0, 9.0), st.floats(0.0, 9.0))
+       | st.tuples(st.floats(0.3, 30.0), st.floats(0.0, 60.0), st.floats(0.0, 60.0)))
+@example(point=(3.799153988382861, 0.6099207778882526, 1.3268276058619164e-06))
+@example(point=(0.3, 0.01421444972852082, 0.0))
+def test_two_cycle_matches_the_dense_scan(point):
+    # the proof leaves one sign change for the scan to find, and the one
+    # bisection on the proven bracket stops on the scan's float
+    r, h0, h1 = point
+    assume(h0 != h1)
+    roots, changes = _dense_cycle_roots(r, h0, h1)
+    assert changes <= 1 and len(roots) <= 1
+    # the ordering law rejects a root of either solve alike
+    if roots and (h0 - h1) * (roots[0][1] - roots[0][0]) < 0.0:
+        roots = []
+    expected = roots[0] if roots else None
+    solved = _solved_or_none(r, h0, h1)
+    if solved is None or expected is None or solved == expected:
+        assert solved == expected
+        return
+    # the bisections stop on different floats only where the float residual
+    # changes sign more than once next to the root, as at the two examples;
+    # both roots then lie where its sign cannot place the root, give or take
+    # the last ulps of the polish, and z1 follows z0 along z1(z0)
+    first, last = _sign_ambiguous_floats(r, h0, h1, solved[0], expected[0])
+    assert first < last
+    for z0 in (solved[0], expected[0]):
+        assert first - 2 * math.ulp(first) <= z0 <= last + 2 * math.ulp(last)
+    slope = math.exp(expected[0] - r) * (1.0 + expected[0] - h1)
+    dz0, dz1 = abs(solved[0] - expected[0]), abs(solved[1] - expected[1])
+    assert dz1 <= slope * dz0 + 2 * math.ulp(expected[1])
+
+
+def test_two_cycle_matches_the_dense_scan_on_the_readme_plane():
+    axis = np.linspace(0.3, 3.0, 40)
+    plane = [(1.0, float(a), float(b)) for a in axis for b in axis if a != b]
+    assert len(plane) == 1560
+    for r, h0, h1 in plane:
+        roots, changes = _dense_cycle_roots(r, h0, h1)
+        assert changes == 1 and len(roots) == 1
+        assert _solved_or_none(r, h0, h1) == roots[0], (h0, h1)
+
+
+@pytest.mark.parametrize("key", list(CYCLES) + [(0.3, 0.01, 0.02), (4.5, 8.0, 0.5), (1.0, 9.0, 30.0)])
+def test_reduced_residual_crosses_upwards_at_the_two_cycle(key):
+    # F'(z0) = e^{z0 - r} [(1 + d0)(1 + d1) - d0 d1 / (z0 z1)] at the root,
+    # with d0 = z0 - h1 and d1 = z1 - h0, against mpmath's own derivative
+    r, h0, h1 = (mp.mpf(v) for v in key)
+    rep = solve_two_cycle(params_of(key))
+    z1_of = lambda z0: (z0 - h1) * mp.e ** (z0 - r)
+    F = lambda z0: z1_of(z0) - h0 - z0 * mp.e ** (r - z1_of(z0))
+    z0 = mp.findroot(F, mp.mpf(rep.z0))
+    z1 = z1_of(z0)
+    d0, d1 = z0 - h1, z1 - h0
+    closed = mp.e ** (z0 - r) * ((1 + d0) * (1 + d1) - d0 * d1 / (z0 * z1))
+    assert closed > 0 and d0 > 0 and d1 > 0
+    assert abs(mp.diff(F, z0) - closed) < mp.mpf("1e-25") * closed
 
 
 @pytest.mark.parametrize("key", [(3.0, 2.0, 6.444), (1.5, 0.820, 1.800), (4.2, 0.05, 8.7), (2.5, 7.0, 0.0)])
 def test_reduced_residual_grid_signs_match_scalar_loop(key):
-    # the scan's array evaluation may differ from math.exp/log in the last
-    # bit, but it must pick the same brackets as the scalar residual
+    # the dense scan's array evaluation may differ from math.exp/log in the
+    # last bit, but it must pick the same brackets as the scalar residual
     r, h0, h1 = key
     y_max = _orbit_bounds(r, h0, h1)[1]
     grid = h1 + np.geomspace(1e-9, 60.0, 4096)
@@ -155,9 +306,9 @@ def test_artificial_residuals_match_plain_formula(key):
     Y = (h0 + np.geomspace(1e-9, y_max - h0, 263))[None, :]
     P = X * np.exp(r - Y) + h0
     Q = Y * np.exp(r - X) + h1
-    R1, R2 = _artificial_residuals(X, Y, r, h0, h1)
-    assert np.array_equal(R1, P * np.exp(r - Q) - X + h1)
-    assert np.array_equal(R2, Q * np.exp(r - P) - Y + h0)
+    # the second surface is the first with the roles of (x, h1) and (y, h0) swapped
+    assert np.array_equal(_first_residual(X, Y, r, h0, h1), P * np.exp(r - Q) - X + h1)
+    assert np.array_equal(_first_residual(Y, X, r, h1, h0), Q * np.exp(r - P) - Y + h0)
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -178,7 +329,10 @@ def _scan_axes(r, h0, h1, grid):
 def _dense_seed_cells(xs, ys, r, h0, h1):
     # the reference: both surfaces filled on the whole lattice, and every
     # cell whose four corners disagree in sign on each
-    R1, R2 = _artificial_residuals(xs[:, None], ys[None, :], r, h0, h1)
+    X, Y = xs[:, None], ys[None, :]
+    P = X * np.exp(r - Y) + h0
+    Q = Y * np.exp(r - X) + h1
+    R1, R2 = P * np.exp(r - Q) - X + h1, Q * np.exp(r - P) - Y + h0
 
     def mixed(s):
         c = s[:-1, :-1]
