@@ -29,7 +29,14 @@ from .constant import (
 from .errors import RickerLabError
 from .model import ModelParams
 from .orbits import neimark_sacker_scan, simulate
-from .periodic import certify_periodic, find_artificial_cycles, solve_two_cycle
+from .periodic import (
+    TwoCycleReport,
+    _certify_cells,
+    _scan_chunk,
+    certify_periodic,
+    find_artificial_cycles,
+    solve_two_cycle,
+)
 from .verdicts import LocalVerdict, VerdictTag
 
 
@@ -226,21 +233,52 @@ def _sweep_constant_row(h: float, r_vals: np.ndarray) -> list[str]:
     return rows
 
 
-def _sweep_periodic_cell(r: float, h0: float, h1: float, art_grid: int) -> str:
-    if h0 == h1:
-        y = solve_equilibrium(ModelParams.constant(r, h0)).y_bar
-        return (
-            f"{_fmt(h0)},{_fmt(h1)},{_fmt(r)},{VerdictTag.NOT_APPLICABLE.value},"
-            f"{_fmt(y)},{_fmt(y)},degenerate: h0 == h1"
-        )
-    params = ModelParams(r=r, stocking=(h0, h1))
-    report = solve_two_cycle(params)
-    tag = certify_periodic(params, art_grid, cycle=report).tag
-    note = '"min(h0,h1) < r"' if tag is VerdictTag.NOT_APPLICABLE else f"art-grid={art_grid}"
-    return (
-        f"{_fmt(h0)},{_fmt(h1)},{_fmt(r)},{tag.value},"
-        f"{_fmt(report.z0)},{_fmt(report.z1)},{note}"
-    )
+def _sweep_periodic_row(h0: float, h1: float, r: float, tag: VerdictTag, z0: float, z1: float, note: str) -> str:
+    return f"{_fmt(h0)},{_fmt(h1)},{_fmt(r)},{tag.value},{_fmt(z0)},{_fmt(z1)},{note}"
+
+
+def _sweep_periodic_rows(r: float, h0_vals: np.ndarray, h1_vals: np.ndarray, art_grid: int) -> list[str]:
+    """The periodic sweep's rows, in grid order.
+
+    Each cell solves its 2-cycle once, as its turn comes.  Cells with
+    h0 != h1 then wait until `_scan_chunk(art_grid)` of them have gathered
+    and are certified together, with one artificial-cycle scan for those
+    that need it, so the scan's memory is bounded by one chunk however large
+    the sweep.  A cell that fails certifies the waiting cells first, so the
+    error reported is that of the first failing cell in grid order.
+    """
+    chunk = _scan_chunk(art_grid)
+    rows: list[str | None] = []
+    waiting: list[tuple[int, ModelParams, TwoCycleReport]] = []  # (row index, params, 2-cycle)
+
+    def certify_waiting() -> None:
+        verdicts = _certify_cells([(params, report) for _, params, report in waiting], art_grid)
+        for (i, params, report), verdict in zip(waiting, verdicts):
+            tag = verdict.tag
+            note = '"min(h0,h1) < r"' if tag is VerdictTag.NOT_APPLICABLE else f"art-grid={art_grid}"
+            rows[i] = _sweep_periodic_row(*params.stocking, r, tag, report.z0, report.z1, note)
+        waiting.clear()
+
+    for h0 in h0_vals.tolist():
+        for h1 in h1_vals.tolist():
+            try:
+                if h0 == h1:
+                    y = solve_equilibrium(ModelParams.constant(r, h0)).y_bar
+                    rows.append(_sweep_periodic_row(
+                        h0, h1, r, VerdictTag.NOT_APPLICABLE, y, y, "degenerate: h0 == h1"
+                    ))
+                    continue
+                params = ModelParams(r=r, stocking=(h0, h1))
+                report = solve_two_cycle(params)
+            except Exception:
+                certify_waiting()
+                raise
+            waiting.append((len(rows), params, report))
+            rows.append(None)
+            if len(waiting) == chunk:
+                certify_waiting()
+    certify_waiting()
+    return rows
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -279,13 +317,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("sweep grid must have finite non-negative ranges and positive counts")
     h0_vals = np.linspace(args.h0_lo, args.h0_hi, args.nh0)
     h1_vals = np.linspace(args.h1_lo, args.h1_hi, args.nh1)
-    lines = [_SWEEP_HEADER_PERIODIC]
-    for h0 in h0_vals:
-        lines.extend(
-            _sweep_periodic_cell(args.r, float(h0), float(h1), args.art_grid)
-            for h1 in h1_vals
-        )
-    _emit(lines, args.out)
+    _emit([_SWEEP_HEADER_PERIODIC, *_sweep_periodic_rows(args.r, h0_vals, h1_vals, args.art_grid)], args.out)
     return 0
 
 

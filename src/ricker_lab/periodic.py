@@ -85,15 +85,16 @@ def _orbit_bounds(r: float, h0: float, h1: float) -> tuple[float, float]:
     return x_max, y_max
 
 
-def _geomspace(lo: float, hi: float, n: int) -> np.ndarray:
+def _geomspace(lo: float, hi: float | np.ndarray, n: int) -> np.ndarray:
     """`np.geomspace(lo, hi, n)` for positive scalar ends and n >= 2, bit for
     bit: the same log10, linspace and power steps without its argument
     handling, which costs several times the arithmetic at these sizes.  Both
-    ends are pinned, as numpy pins them."""
+    ends are pinned, as numpy pins them.  With hi a (cells, 1) array it gives
+    one such row per cell."""
     log_lo, log_hi = np.log10(lo), np.log10(hi)
     y = np.arange(n, dtype=float) * ((log_hi - log_lo) / (n - 1)) + log_lo
     out = np.power(10.0, y)
-    out[0], out[-1] = lo, hi
+    out[..., 0], out[..., -1:] = lo, hi
     return out
 
 
@@ -173,9 +174,10 @@ def solve_two_cycle(params: ModelParams) -> TwoCycleReport:
             f"no 2-cycle resolvable for r={r}, h=({h0}, {h1}): the solved pair ({z0}, {z1}) "
             "is not above (h1, h0), so z0 - h1 or z1 - h0 lies below the float resolution"
         )
-    # a zero product is rounding: with both residuals under _RESIDUAL_TOL,
-    # z0 == z1 forces |h0 - h1| below twice that, as for h0, h1 an ulp apart
-    if (h0 - h1) * (z1 - z0) < 0.0:
+    # a misorder within the pair's float resolution is rounding: with both
+    # residuals under _RESIDUAL_TOL, it forces |h0 - h1| below about twice
+    # that, as for h0, h1 an ulp apart or h1 = 3.4e-71 against h0 = 0
+    if (h0 - h1) * (z1 - z0) < 0.0 and abs(z1 - z0) > math.ulp(max(z0, z1)):
         raise NonConvergence(
             f"solved pair ({z0}, {z1}) violates the stocking/phase ordering law"
         )
@@ -287,36 +289,54 @@ def _first_residual(X, Y, r: float, h0: float, h1: float):
     return R1
 
 
-# the (row, column) offsets of a cell's four corners from its own index
-_CORNERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
+def _seed_cells(xs: np.ndarray, ys: np.ndarray, r, h0, h1) -> np.ndarray:
+    """The (cell, i, j) indices of the lattice cells xs[cell] x ys[cell]
+    across which both residual surfaces change sign, for many scans at once.
 
+    xs and ys are (cells, grid) arrays, one lattice per cell; r, h0 and h1
+    are scalars or (cells, 1) arrays.  The result runs cell by cell, each
+    cell's lattice cells in row-major order.
 
-def _seed_cells(xs: np.ndarray, ys: np.ndarray, r: float, h0: float, h1: float) -> np.ndarray:
-    """The (i, j) indices, in row-major order, of the cells of the grid
-    xs x ys across which both residual surfaces change sign.
-
-    R1 falls in y along each row, so a lower-bound search finds each row's
-    first negative column k[i], all rows at once, from about log2(len(ys))
-    evaluations of R1 on one point per row.  Between rows i and i + 1, R1
-    then changes sign exactly on the columns min(k) - 1 .. max(k) - 1, and R2
-    is evaluated only at the corners of those cells.
+    R1 falls in y along each lattice row, so a lower-bound search finds each
+    row's first negative column k[cell, i], every row of every cell at once,
+    from about log2(grid) evaluations of R1 on one point per row.  Between
+    rows i and i + 1, R1 then changes sign exactly on the columns
+    min(k) - 1 .. max(k) - 1, and R2 is evaluated only at the corners of
+    those lattice cells, once per corner shared along the band.  Per cell
+    that is O(grid log grid) time and O(grid) memory; a batch pays the numpy
+    call overhead, about 20 calls per probe, once for all its cells, and
+    holds O(cells x grid) memory.
     """
-    rows, cols = len(xs), len(ys)
-    k = np.zeros(rows, dtype=np.intp)
-    n = cols  # k + n stays cols, so every probe k + half lies in the row
+    cells, rows = xs.shape
+    cols = ys.shape[1]
+    flat_xs, flat_ys = xs.ravel(), ys.ravel()
+    base = np.arange(0, cells * cols, cols)[:, None]
+    k = np.repeat(base, rows, axis=1)  # flat indices into ys; k - base is the column
+    n = cols  # k - base + n stays cols, so every probe k + half lies in the row
     while n > 1:
         half = n // 2
-        k += half * ~np.signbit(_first_residual(xs, ys[k + half], r, h0, h1))
+        k += half * ~np.signbit(_first_residual(xs, flat_ys[k + half], r, h0, h1))
         n -= half
-    k += ~np.signbit(_first_residual(xs, ys[k], r, h0, h1))
-    lo = np.maximum(np.minimum(k[:-1], k[1:]) - 1, 0)
-    counts = np.maximum(np.minimum(np.maximum(k[:-1], k[1:]), cols - 1) - lo, 0)
-    I = np.repeat(np.arange(rows - 1), counts)
-    J = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-    cells = np.column_stack((I, J))
-    corners = cells + _CORNERS[:, None]
-    s2 = np.signbit(_first_residual(ys[corners[..., 1]], xs[corners[..., 0]], r, h1, h0))
-    return cells[(s2[1:] != s2[0]).any(axis=0)]
+    k += ~np.signbit(_first_residual(xs, flat_ys[k], r, h0, h1))
+    k -= base
+    lo = np.maximum(np.minimum(k[:, :-1], k[:, 1:]) - 1, 0).ravel()
+    counts = np.maximum(np.minimum(np.maximum(k[:, :-1], k[:, 1:]), cols - 1).ravel() - lo, 0)
+    # the band of each pair of rows, by its corners: count + 1 columns from lo
+    pairs = np.flatnonzero(counts)
+    nodes = counts[pairs] + 1
+    ends = np.cumsum(nodes)
+    S = np.repeat(pairs, nodes)  # the pair of each corner column, flat over (cell, i)
+    J = np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - nodes - lo[pairs], nodes)
+    C, I = np.divmod(S, rows - 1)
+    X = flat_xs[np.stack((S + C, S + C + 1))]  # rows i and i + 1 of the cell's xs
+    r, h0, h1 = (np.ravel(v)[C] if np.size(v) > 1 else v for v in (r, h0, h1))
+    s2 = np.signbit(_first_residual(flat_ys[C * cols + J], X, r, h1, h0))
+    # a lattice cell starts at each corner column but the last of its band
+    c00 = s2[0, :-1]
+    mixed = (s2[0, 1:] != c00) | (s2[1, :-1] != c00) | (s2[1, 1:] != c00)
+    mixed[ends[:-1] - 1] = False
+    keep = np.flatnonzero(mixed)
+    return np.column_stack((C[keep], I[keep], J[keep]))
 
 
 def _artificial_system(x: float, y: float, r: float, h0: float, h1: float):
@@ -348,41 +368,13 @@ def _newton_polish_artificial(x: float, y: float, r: float, h0: float, h1: float
     return x, y
 
 
-def find_artificial_cycles(
-    params: ModelParams, grid: int = 1024, *, cycle: TwoCycleReport | None = None
+def _artificial_cycle_set(
+    params: ModelParams, cycle: TwoCycleReport, seeds, x_max: float, y_max: float, grid: int
 ) -> ArtificialCycleSet:
-    """Enumerate fixed points of the folded embedded map beyond the 2-cycle.
-
-    Scans the trapping rectangle (h1, x_max] x (h0, y_max] on a geometric
-    grid x grid lattice, seeds Newton wherever both residual surfaces R1 and
-    R2 (see `_first_residual`) change sign across a cell, deduplicates at 1e-6,
-    and drops the root coming from the true 2-cycle.  An empty set is a valid
-    outcome and is what global-stability certification requires.  `cycle` is
-    the solved 2-cycle of params, for a caller that already has it; it is
-    solved here otherwise, with the same result.
-
-    The seeds are the cells of the full lattice, found without filling it.
-    At fixed x, R1 = P e^{r-Q} - x + h1 falls strictly in y, because
-    P = x e^{r-y} + h0 falls and Q = y e^{r-x} + h1 rises; so R1 changes sign
-    at most once along each row, a search finds that column, and R2 is
-    evaluated only in the band of cells where R1 changes sign (see
-    `_seed_cells`): O(grid log grid) time and O(grid) memory.  In floats the
-    monotonicity is observed, not proven: where rounding makes R1 tie or
-    wobble about zero within a row, a seed can move to a neighbouring cell
-    along the same crossing.
-    """
-    r, h0, h1 = _require_two_periodic(params)
-    if grid < 2:
-        raise ValueError(f"the artificial-cycle scan needs grid >= 2, got {grid}")
-    if cycle is None:
-        cycle = solve_two_cycle(params)
-    x_max, y_max = _orbit_bounds(r, h0, h1)
-    xs = h1 + _geomspace(1e-9, x_max - h1, grid)
-    ys = h0 + _geomspace(1e-9, y_max - h0, grid)
-    cells = _seed_cells(xs, ys, r, h0, h1)
-    seeds = [(float(xs[i]), float(ys[j])) for i, j in cells]
-    seeds.append((cycle.z0, cycle.z1))
-
+    """Newton-polish one cell's seeds, deduplicate the admissible roots at
+    1e-6 and keep those away from the 2-cycle whose quadruple the folded
+    map fixes."""
+    r, (h0, h1) = params.r, params.stocking
     roots: list[tuple[float, float]] = []
     for sx, sy in seeds:
         sol = _newton_polish_artificial(sx, sy, r, h0, h1)
@@ -396,23 +388,87 @@ def find_artificial_cycles(
         roots.append((x, y))
 
     scale = 1.0 + abs(cycle.z0) + abs(cycle.z1)
+    roots = [
+        (x, y) for x, y in sorted(roots) if not abs(x - cycle.z0) + abs(y - cycle.z1) < 1e-5 * scale
+    ]
     quads: list[QuadPoint] = []
-    f0, f1 = planar_maps(params)
-    g10 = build_folded_embedding(f0, f1)
-    for x, y in sorted(roots):
-        if abs(x - cycle.z0) + abs(y - cycle.z1) < 1e-5 * scale:
-            continue
-        u = f1(y, x)
-        v = f0(x, y)
-        q = QuadPoint(x, y, u, v)
-        image = g10(q)
-        resid = max(abs(a - b) for a, b in zip(image, q))
-        if resid > 1e-9:
-            continue
-        quads.append(q)
+    if roots:
+        f0, f1 = planar_maps(params)
+        g10 = build_folded_embedding(f0, f1)
+        for x, y in roots:
+            q = QuadPoint(x, y, f1(y, x), f0(x, y))
+            resid = max(abs(a - b) for a, b in zip(g10(q), q))
+            if resid > 1e-9:
+                continue
+            quads.append(q)
     return ArtificialCycleSet(
         cycles=tuple(quads), count=len(quads), grid=grid, x_max=x_max, y_max=y_max
     )
+
+
+def _artificial_cycle_sets(
+    cells: list[tuple[ModelParams, TwoCycleReport]], grid: int
+) -> list[ArtificialCycleSet]:
+    """`find_artificial_cycles(params, grid, cycle=cycle)` for each (params,
+    cycle) pair, with one seed search for all of them (see `_seed_cells`).
+
+    The search holds a few arrays of cells x grid elements, so a caller with
+    many cells hands them over in chunks of `_scan_chunk(grid)`.
+    """
+    if not cells:
+        return []
+    points = [_require_two_periodic(params) for params, _ in cells]
+    bounds = [_orbit_bounds(*point) for point in points]
+    r, h0, h1 = (np.array(v)[:, None] for v in zip(*points))
+    x_max, y_max = (np.array(v)[:, None] for v in zip(*bounds))
+    xs = h1 + _geomspace(1e-9, x_max - h1, grid)
+    ys = h0 + _geomspace(1e-9, y_max - h0, grid)
+    seeds = _seed_cells(xs, ys, r, h0, h1)
+    owner = seeds[:, 0]
+    sx, sy = xs[owner, seeds[:, 1]].tolist(), ys[owner, seeds[:, 2]].tolist()
+    ends = np.cumsum(np.bincount(owner, minlength=len(cells))).tolist()
+    sets = []
+    start = 0
+    for (params, cycle), (xm, ym), end in zip(cells, bounds, ends):
+        sets.append(_artificial_cycle_set(params, cycle, zip(sx[start:end], sy[start:end]), xm, ym, grid))
+        start = end
+    return sets
+
+
+def find_artificial_cycles(
+    params: ModelParams, grid: int = 1024, *, cycle: TwoCycleReport | None = None
+) -> ArtificialCycleSet:
+    """Enumerate fixed points of the folded embedded map beyond the 2-cycle.
+
+    Scans the trapping rectangle (h1, x_max] x (h0, y_max] on a geometric
+    grid x grid lattice, seeds Newton wherever both residual surfaces R1 and
+    R2 (see `_first_residual`) change sign across a cell, deduplicates at 1e-6,
+    and drops roots within 1e-5 (1 + z0 + z1) of the 2-cycle.  The 2-cycle
+    is a root of both surfaces, but it is not a Newton seed: its root would
+    come last and fall to that filter.  An empty set is a valid outcome and
+    is what global-stability certification requires.  `cycle` is the solved
+    2-cycle of params, for a caller that already has it; it is solved here
+    otherwise, with the same result.
+
+    The seeds are the cells of the full lattice, found without filling it.
+    At fixed x, R1 = P e^{r-Q} - x + h1 falls strictly in y, because
+    P = x e^{r-y} + h0 falls and Q = y e^{r-x} + h1 rises; so R1 changes sign
+    at most once along each row, a search finds that column, and R2 is
+    evaluated only in the band of cells where R1 changes sign (see
+    `_seed_cells`): O(grid log grid) time and O(grid) memory.  This is the
+    one-cell case of the scan a periodic sweep runs on a chunk of c cells at
+    once, with the same result per cell: O(c grid log grid) time in one set
+    of about 20 log2(grid) numpy calls, and O(c grid) memory.  In floats the
+    monotonicity is observed, not proven: where rounding makes R1 tie or
+    wobble about zero within a row, a seed can move to a neighbouring cell
+    along the same crossing.
+    """
+    _require_two_periodic(params)
+    if grid < 2:
+        raise ValueError(f"the artificial-cycle scan needs grid >= 2, got {grid}")
+    if cycle is None:
+        cycle = solve_two_cycle(params)
+    return _artificial_cycle_sets([(params, cycle)], grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -469,29 +525,24 @@ _PROV_BOX2 = "artificial cycles present: even/odd tails bounded by their coordin
 _PROV_NA2 = "min(h0,h1) < r: no compatible box, embedding inapplicable"
 
 
-def certify_periodic(
-    params: ModelParams, grid: int = 1024, *, cycle: TwoCycleReport | None = None
-) -> ClassificationVerdict:
-    """Classify the long-run behavior under 2-periodic stocking.
+def _certifiable(params: ModelParams) -> bool:
+    """Whether certification runs the artificial-cycle scan: min(h0, h1) >= r."""
+    return not min(params.stocking) < params.r
 
-    GloballyStable(2-cycle) when both stocking values exceed r and the
-    artificial-cycle scan finds nothing; AbsorbingBox with even-term range
-    [min(x,u), max(x,u)] and odd-term range [min(v,y), max(v,y)] when
-    artificial cycles exist; NotApplicable when min(h0, h1) < r.  The Jury
-    verdict of the 2-cycle is carried alongside either way.  `cycle` is the
-    solved 2-cycle of params, for a caller that already has it; it is solved
-    here otherwise, with the same verdict.
-    """
-    report = solve_two_cycle(params) if cycle is None else cycle
+
+def _periodic_verdict(
+    params: ModelParams, report: TwoCycleReport, art: ArtificialCycleSet | None, grid: int
+) -> ClassificationVerdict:
+    """The verdict from the 2-cycle and `art`, the artificial-cycle scan's
+    result, or None for a cell that is not certifiable."""
     r, h0, h1 = _require_two_periodic(params)
-    if min(h0, h1) < r:
+    if art is None:
         return ClassificationVerdict(
             tag=VerdictTag.NOT_APPLICABLE,
             provenance=_PROV_NA2,
             note="certification unavailable; Jury verdict of the 2-cycle attached",
             local=report.local_verdict,
         )
-    art = find_artificial_cycles(params, grid, cycle=report)
     boundary = min(h0, h1) == r
     witness = None
     if not boundary:
@@ -526,3 +577,48 @@ def certify_periodic(
         odd_range=(odd_lo, odd_hi),
         local=report.local_verdict,
     )
+
+
+def certify_periodic(
+    params: ModelParams, grid: int = 1024, *, cycle: TwoCycleReport | None = None
+) -> ClassificationVerdict:
+    """Classify the long-run behavior under 2-periodic stocking.
+
+    GloballyStable(2-cycle) when both stocking values exceed r and the
+    artificial-cycle scan finds nothing; AbsorbingBox with even-term range
+    [min(x,u), max(x,u)] and odd-term range [min(v,y), max(v,y)] when
+    artificial cycles exist; NotApplicable when min(h0, h1) < r.  The Jury
+    verdict of the 2-cycle is carried alongside either way.  `cycle` is the
+    solved 2-cycle of params, for a caller that already has it; it is solved
+    here otherwise, with the same verdict.
+    """
+    report = solve_two_cycle(params) if cycle is None else cycle
+    _require_two_periodic(params)
+    art = find_artificial_cycles(params, grid, cycle=report) if _certifiable(params) else None
+    return _periodic_verdict(params, report, art, grid)
+
+
+# cells x grid elements of one batched artificial-cycle scan: 16 cells at
+# grid 128, 2 at grid 1024.  The band-corner arrays of `_seed_cells` dominate
+# its memory; past a few thousand elements a larger batch saves little numpy
+# call overhead and only raises the peak.
+_SCAN_ELEMENTS = 2048
+
+
+def _scan_chunk(grid: int) -> int:
+    """How many cells `_certify_cells` should take at once at this grid."""
+    return max(1, _SCAN_ELEMENTS // grid)
+
+
+def _certify_cells(
+    cells: list[tuple[ModelParams, TwoCycleReport]], grid: int
+) -> list[ClassificationVerdict]:
+    """`certify_periodic(params, grid, cycle=cycle)` for each (params, cycle)
+    pair, in order, with one artificial-cycle scan for all the certifiable
+    ones.  Its memory grows with their number times the grid, so a sweep
+    hands it chunks of `_scan_chunk(grid)` cells."""
+    arts = iter(_artificial_cycle_sets([cell for cell in cells if _certifiable(cell[0])], grid))
+    return [
+        _periodic_verdict(params, cycle, next(arts) if _certifiable(params) else None, grid)
+        for params, cycle in cells
+    ]

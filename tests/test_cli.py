@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,8 +15,19 @@ import numpy as np
 import pytest
 
 import ricker_lab
-from ricker_lab import ModelParams, certify_constant, cli, periodic, thresholds
+from ricker_lab import (
+    ModelParams,
+    VerdictTag,
+    certify_constant,
+    certify_periodic,
+    cli,
+    periodic,
+    solve_equilibrium,
+    solve_two_cycle,
+    thresholds,
+)
 from ricker_lab.cli import main
+from ricker_lab.errors import NonConvergence, WitnessConstructionFailed
 
 
 def run(capsys, *argv):
@@ -322,6 +334,17 @@ def test_periodic_cells_solve_their_two_cycle_once(capsys, monkeypatch):
     assert code == 0 and solved == [(2.0, 1.5)]
 
 
+# h1 = 3.4e-71 against h0 = 0: the float pair is an ulp apart and, for
+# h0 < h1, in the wrong order, which the ordering law takes as rounding
+@pytest.mark.parametrize("h0, h1", [("0", "3.4182591922630875e-71"), ("3.4182591922630875e-71", "0")])
+def test_two_cycle_misorder_within_float_resolution_is_not_a_failure(capsys, h0, h1):
+    code, out, err = run(capsys, "two-cycle", "--r", "0.5", "--h0", h0, "--h1", h1, "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert {payload["z0"], payload["z1"]} == {0.5, 0.49999999999999994}
+    assert payload["verdict"] == "LAS"
+
+
 # h0 and h1 one ulp apart: the solved cycle has z0 == z1 to the last bit, and
 # the verdict is the constant-stocking one (r2(1.2) ~ 0.80 < r = 1 < h = 1.2)
 ULP_APART = ("1.2000000000000002", "1.2")
@@ -420,6 +443,87 @@ def test_sweep_periodic_matches_golden(capsys, tmp_path):
     assert got[0] == want[0] and len(got) == len(want) == 101
     for got_row, want_row in zip(got[1:], want[1:]):
         assert _six_fields_and_note(got_row) == _six_fields_and_note(want_row)
+
+
+def _single_cell_row(r, h0, h1, art_grid):
+    # a periodic sweep row as one cell's own solve and certify_periodic give it
+    fmt = lambda x: f"{x:.17g}"
+    if h0 == h1:
+        y = solve_equilibrium(ModelParams.constant(r, h0)).y_bar
+        return f"{fmt(h0)},{fmt(h1)},{fmt(r)},NotApplicable,{fmt(y)},{fmt(y)},degenerate: h0 == h1"
+    params = ModelParams(r=r, stocking=(h0, h1))
+    report = solve_two_cycle(params)
+    tag = certify_periodic(params, art_grid, cycle=report).tag
+    note = '"min(h0,h1) < r"' if tag is VerdictTag.NOT_APPLICABLE else f"art-grid={art_grid}"
+    return f"{fmt(h0)},{fmt(h1)},{fmt(r)},{tag.value},{fmt(report.z0)},{fmt(report.z1)},{note}"
+
+
+def test_periodic_sweep_rows_match_single_cell_certification(capsys):
+    # the sweep certifies its cells a chunk at a time; every row must be the
+    # one the cell gets on its own, bit for bit, in grid order
+    code, out, _ = run(capsys, "sweep", "--mode", "periodic", "--r", "1",
+                       "--h0-lo", "0.3", "--h0-hi", "3", "--nh0", "40",
+                       "--h1-lo", "0.3", "--h1-hi", "3", "--nh1", "40", "--art-grid", "128")
+    assert code == 0
+    rows = out.splitlines()
+    axis = np.linspace(0.3, 3.0, 40).tolist()
+    assert rows[0] == "h0,h1,r,verdict,z0,z1,notes" and len(rows) == 1601
+    for row, (h0, h1) in zip(rows[1:], ((h0, h1) for h0 in axis for h1 in axis)):
+        assert row == _single_cell_row(1.0, h0, h1, 128)
+
+
+def test_failing_periodic_sweep_reports_its_first_failing_cell(capsys):
+    # cell (90, 90) is degenerate and (90, 91) is the first that fails
+    code, out, err = run(capsys, "sweep", "--mode", "periodic", "--r", "40",
+                         "--h0-lo", "90", "--h0-hi", "91", "--nh0", "2",
+                         "--h1-lo", "90", "--h1-hi", "91", "--nh1", "2")
+    assert code == 3 and out == ""
+    assert err == ("numeric failure: no 2-cycle resolvable for r=40.0, h=(90.0, 91.0): "
+                   "z0 - h1 lies below the float resolution of h1=91.0\n")
+
+
+@pytest.mark.parametrize("cert_fails, solve_fails", [((1.5, 2.0), (2.0, 1.5)), ((2.0, 1.5), (1.5, 2.0))])
+def test_sweep_failure_order_spans_waiting_cells(capsys, monkeypatch, cert_fails, solve_fails):
+    # a cell that waits for its chunk's certification still fails before a
+    # later cell whose 2-cycle solve fails, and after an earlier one
+    solve, witness = cli.solve_two_cycle, periodic._witness_box
+
+    def failing_solve(params):
+        if params.stocking == solve_fails:
+            raise NonConvergence(f"solve failed at {params.stocking}")
+        return solve(params)
+
+    def failing_witness(params, report):
+        if params.stocking == cert_fails:
+            raise WitnessConstructionFailed(f"no box at {params.stocking}")
+        return witness(params, report)
+
+    monkeypatch.setattr(cli, "solve_two_cycle", failing_solve)
+    monkeypatch.setattr(periodic, "_witness_box", failing_witness)
+    code, out, err = run(capsys, "sweep", "--mode", "periodic", "--r", "1",
+                         "--h0-lo", "1.5", "--h0-hi", "2", "--nh0", "2",
+                         "--h1-lo", "1.5", "--h1-hi", "2", "--nh1", "2")
+    assert code == 3 and out == ""
+    first = "no box at" if cert_fails < solve_fails else "solve failed at"
+    assert err == f"numeric failure: {first} {min(cert_fails, solve_fails)}\n"
+
+
+# one chunk of cells at a time: two full 1024x1024 surfaces per cell would
+# take 24 MiB, and the README plane certified as one batch peaks at about 25 MiB
+@pytest.mark.parametrize("n, art_grid", [(40, 128), (20, 1024)])
+def test_periodic_sweep_memory_is_bounded_by_one_chunk(tmp_path, n, art_grid):
+    argv = ["sweep", "--mode", "periodic", "--r", "1",
+            "--h0-lo", "0.3", "--h0-hi", "3", "--nh0", str(n),
+            "--h1-lo", "0.3", "--h1-hi", "3", "--nh1", str(n),
+            "--art-grid", str(art_grid), "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 0  # the first call builds the parser and its caches
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 1.5 * 2**20
 
 
 def test_sweep_rejects_bad_grid(capsys):

@@ -18,7 +18,9 @@ from ricker_lab import (
 )
 from ricker_lab import periodic
 from ricker_lab._roots import bisect, newton_2d
+from ricker_lab.embedding import build_folded_embedding
 from ricker_lab.errors import NonConvergence
+from ricker_lab.model import QuadPoint, planar_maps
 from ricker_lab.periodic import (
     RULE_CYCLE_LAS,
     RULE_CYCLE_UNSTABLE,
@@ -235,9 +237,12 @@ def test_two_cycle_matches_the_dense_scan(point):
     assume(h0 != h1)
     roots, changes = _dense_cycle_roots(r, h0, h1)
     assert changes <= 1 and len(roots) <= 1
-    # the ordering law rejects a root of either solve alike
-    if roots and (h0 - h1) * (roots[0][1] - roots[0][0]) < 0.0:
-        roots = []
+    # the ordering law rejects a root of either solve alike, beyond the
+    # pair's float resolution
+    if roots:
+        z0, z1 = roots[0]
+        if (h0 - h1) * (z1 - z0) < 0.0 and abs(z1 - z0) > math.ulp(max(z0, z1)):
+            roots = []
     expected = roots[0] if roots else None
     solved = _solved_or_none(r, h0, h1)
     if solved is None or expected is None or solved == expected:
@@ -264,6 +269,16 @@ def test_two_cycle_matches_the_dense_scan_on_the_readme_plane():
         roots, changes = _dense_cycle_roots(r, h0, h1)
         assert changes == 1 and len(roots) == 1
         assert _solved_or_none(r, h0, h1) == roots[0], (h0, h1)
+
+
+@pytest.mark.parametrize("h0, h1", [(0.0, 3.4182591922630875e-71), (3.4182591922630875e-71, 0.0)])
+def test_ordering_law_allows_a_misorder_within_float_resolution(h0, h1):
+    # the true pair differs by about 1e-71 and agrees with the law; the float
+    # pair is one ulp apart, in the wrong order for h0 < h1
+    rep = solve_two_cycle(ModelParams(r=0.5, stocking=(h0, h1)))
+    assert {rep.z0, rep.z1} == {0.5, math.nextafter(0.5, 0.0)}
+    assert max(rep.residuals) < 1e-10
+    assert rep.local_verdict is LocalVerdict.LAS
 
 
 @pytest.mark.parametrize("key", list(CYCLES) + [(0.3, 0.01, 0.02), (4.5, 8.0, 0.5), (1.0, 9.0, 30.0)])
@@ -356,7 +371,26 @@ def test_seed_cells_match_the_full_grid(point, grid):
     # grid x grid lattice
     r, h0, h1 = point
     xs, ys = _scan_axes(r, h0, h1, grid)
-    assert np.array_equal(_seed_cells(xs, ys, r, h0, h1), _dense_seed_cells(xs, ys, r, h0, h1))
+    cells = _seed_cells(xs[None], ys[None], r, h0, h1)
+    assert not cells[:, 0].any()
+    assert np.array_equal(cells[:, 1:], _dense_seed_cells(xs, ys, r, h0, h1))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(points=st.lists(st.one_of(_UNIFORM_POINTS, _LOG_POINTS), min_size=1, max_size=6),
+       grid=st.sampled_from((2, 3, 7, 128, 1024)), shared_r=st.booleans())
+def test_batched_seed_cells_match_the_full_grid_per_cell(points, grid, shared_r):
+    # one search over a batch of cells seeds each cell from exactly the cells
+    # of its own full lattice, cell after cell; r is a scalar when all share it
+    if shared_r:
+        points = [(points[0][0], h0, h1) for _, h0, h1 in points]
+    axes = [_scan_axes(*point, grid) for point in points]
+    r, h0, h1 = (np.array(v)[:, None] for v in zip(*points))
+    got = _seed_cells(np.stack([xs for xs, _ in axes]), np.stack([ys for _, ys in axes]),
+                      points[0][0] if shared_r else r, h0, h1)
+    assert np.all(np.diff(got[:, 0]) >= 0)
+    for c, (point, (xs, ys)) in enumerate(zip(points, axes)):
+        assert np.array_equal(got[got[:, 0] == c, 1:], _dense_seed_cells(xs, ys, *point)), point
 
 
 def test_seed_cells_match_the_full_grid_on_the_readme_plane():
@@ -365,7 +399,70 @@ def test_seed_cells_match_the_full_grid_on_the_readme_plane():
     assert len(certifiable) == 812
     for r, h0, h1 in certifiable:
         xs, ys = _scan_axes(r, h0, h1, 128)
-        assert np.array_equal(_seed_cells(xs, ys, r, h0, h1), _dense_seed_cells(xs, ys, r, h0, h1)), (h0, h1)
+        cells = _seed_cells(xs[None], ys[None], r, h0, h1)[:, 1:]
+        assert np.array_equal(cells, _dense_seed_cells(xs, ys, r, h0, h1)), (h0, h1)
+
+
+def _reference_artificial_cycles(params, grid, cycle):
+    # the polish loop as it was before the scan was batched: seeds from the
+    # full lattice plus the 2-cycle itself as the last seed, and the folded
+    # map built whether or not a root is left
+    r, (h0, h1) = params.r, params.stocking
+    x_max, y_max = _orbit_bounds(r, h0, h1)
+    xs, ys = _scan_axes(r, h0, h1, grid)
+    seeds = [(float(xs[i]), float(ys[j])) for i, j in _dense_seed_cells(xs, ys, r, h0, h1)]
+    seeds.append((cycle.z0, cycle.z1))
+    roots = []
+    for sx, sy in seeds:
+        sol = periodic._newton_polish_artificial(sx, sy, r, h0, h1)
+        if sol is None:
+            continue
+        x, y = sol
+        if not (x > h1 and y > h0 and x <= 1.01 * x_max and y <= 1.01 * y_max):
+            continue
+        if any(abs(x - a) < 1e-6 and abs(y - b) < 1e-6 for a, b in roots):
+            continue
+        roots.append((x, y))
+    scale = 1.0 + abs(cycle.z0) + abs(cycle.z1)
+    quads = []
+    f0, f1 = planar_maps(params)
+    g10 = build_folded_embedding(f0, f1)
+    for x, y in sorted(roots):
+        if abs(x - cycle.z0) + abs(y - cycle.z1) < 1e-5 * scale:
+            continue
+        q = QuadPoint(x, y, f1(y, x), f0(x, y))
+        if max(abs(a - b) for a, b in zip(g10(q), q)) > 1e-9:
+            continue
+        quads.append(q)
+    return periodic.ArtificialCycleSet(
+        cycles=tuple(quads), count=len(quads), grid=grid, x_max=x_max, y_max=y_max
+    )
+
+
+def test_artificial_cycles_match_the_reference_polish_on_the_readme_plane():
+    axis = np.linspace(0.3, 3.0, 40)
+    certifiable = [ModelParams(r=1.0, stocking=(float(a), float(b)))
+                   for a in axis for b in axis if a != b and min(a, b) >= 1.0]
+    found = 0
+    for params in certifiable:
+        cycle = solve_two_cycle(params)
+        art = find_artificial_cycles(params, 128, cycle=cycle)
+        assert art == _reference_artificial_cycles(params, 128, cycle), params.stocking
+        found += art.count > 0
+    assert found == 174
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(point=st.one_of(_UNIFORM_POINTS, _LOG_POINTS), grid=st.sampled_from((2, 3, 7, 128, 512)))
+def test_artificial_cycles_match_the_reference_polish(point, grid):
+    r, h0, h1 = point
+    assume(h0 != h1)
+    params = ModelParams(r=r, stocking=(h0, h1))
+    try:
+        cycle = solve_two_cycle(params)
+    except NonConvergence:
+        assume(False)
+    assert find_artificial_cycles(params, grid, cycle=cycle) == _reference_artificial_cycles(params, grid, cycle)
 
 
 def test_artificial_scan_memory_is_not_quadratic_in_the_grid():
