@@ -19,10 +19,11 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .constant import (
+    ThresholdSet,
     _constant_tag,
+    _equilibrium_root,
     _local_verdict,
     certify_constant,
-    equilibria_grid,
     solve_equilibrium,
     thresholds,
 )
@@ -217,19 +218,19 @@ _SWEEP_HEADER_PERIODIC = "h0,h1,r,verdict,z0,z1,notes"
 _CURVES_HEADER = "h,r1,r2,r_diag"
 
 
-def _sweep_constant_row(h: float, r_vals: np.ndarray) -> list[str]:
-    ts = thresholds(h)
-    y_row = equilibria_grid(r_vals, np.full(r_vals.shape, h))
+def _sweep_constant_row(h: float, ts: ThresholdSet, r_cells: list[tuple[float, str]]) -> list[str]:
+    """The constant sweep's row at stocking h, one cell per (r, formatted r)
+    of `r_cells`.  Each cell's y_bar is the root `equilibrium` reports."""
+    head = f"{_fmt(h)},"
+    tail = f",{_fmt(ts.r1)},{_fmt(ts.r2)},"
     rows = []
-    for r, y in zip(r_vals, y_row):
-        tag = _constant_tag(float(r), h, ts, float(y))
+    for r, r_text in r_cells:
+        y = _equilibrium_root(r, h)
+        tag = _constant_tag(r, h, ts, y)
         note = ""
-        if _local_verdict(float(r), float(y), band=1e-8) is LocalVerdict.MARGINAL:
+        if _local_verdict(r, y, band=1e-8) is LocalVerdict.MARGINAL:
             note = "near local-stability boundary"
-        rows.append(
-            f"{_fmt(h)},{_fmt(float(r))},{tag.value},{_fmt(float(y))},"
-            f"{_fmt(ts.r1)},{_fmt(ts.r2)},{note}"
-        )
+        rows.append(f"{head}{r_text},{tag.value},{_fmt(y)}{tail}{note}")
     return rows
 
 
@@ -290,22 +291,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not (args.nh >= 1 and args.nr >= 1 and 0 < args.h_lo <= args.h_hi < math.inf
                 and 0 < args.r_lo <= args.r_hi < math.inf):
             raise ValueError("sweep grid must have finite positive ranges and counts")
-        h_vals = np.linspace(args.h_lo, args.h_hi, args.nh)
-        r_vals = np.linspace(args.r_lo, args.r_hi, args.nr)
+        rows_ts = [(h, thresholds(h)) for h in np.linspace(args.h_lo, args.h_hi, args.nh).tolist()]
+        r_cells = [(r, _fmt(r)) for r in np.linspace(args.r_lo, args.r_hi, args.nr).tolist()]
         lines = [_SWEEP_HEADER_CONSTANT]
-        for h in h_vals:
-            lines.extend(_sweep_constant_row(float(h), r_vals))
+        for h, ts in rows_ts:
+            lines.extend(_sweep_constant_row(h, ts, r_cells))
         _emit(lines, args.out)
         curves_path = args.curves
         if curves_path is None and args.out not in (None, "-"):
             curves_path = args.out + ".curves.csv"
         if curves_path is not None:
             curve_lines = [_CURVES_HEADER]
-            for h in h_vals:
-                ts = thresholds(float(h))
-                curve_lines.append(
-                    f"{_fmt(float(h))},{_fmt(ts.r1)},{_fmt(ts.r2)},{_fmt(float(h))}"
-                )
+            for h, ts in rows_ts:
+                curve_lines.append(f"{_fmt(h)},{_fmt(ts.r1)},{_fmt(ts.r2)},{_fmt(h)}")
             _emit(curve_lines, curves_path)
         return 0
 

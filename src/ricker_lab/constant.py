@@ -14,10 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._roots import bisect
-from .errors import BracketFailure, Infeasible
+from .errors import BracketFailure, Infeasible, MaxIterExceeded
 from .model import ModelParams, PlanarPoint, planar_maps
 from .embedding import BoxRegion
 from .verdicts import (
@@ -89,28 +87,61 @@ def thresholds(h: float) -> ThresholdSet:
     return ThresholdSet(r1=r1, h_star=h_star, r2=r2)
 
 
-def _equilibrium_root(r: float, h: float) -> float:
-    """Root of y - y e^{r-y} - h on (max(r, h), r + h + 1].
+# Below y = 2 each Newton step at least halves the error, which starts under
+# 2; the root exceeds sqrt(h) >= 2^-537, so within about 540 steps the error
+# falls below the root, and convergence is quadratic from there.  Above 2
+# the tests' solves settle within 30 steps
+_NEWTON_CAP = 1100
 
-    Bisection on the guaranteed bracket, then one Newton polish.  The lower
-    end is negative because the equilibrium exceeds both r and h; the upper
-    end is positive because r + h + 1 <= (r + 1)(h + 1) and
-    (h + 1) e^{-(h+1)} <= 1/e give phi(r + h + 1) >= (r + 1)(1 - 1/e).
+
+def _equilibrium_root(r: float, h: float) -> float:
+    """Root of phi(y) = y - y e^{r-y} - h on (max(r, h), r + h + 1], by
+    monotone Newton.
+
+    The bracket: phi(max(r, h)) <= 0 because the equilibrium exceeds both r
+    and h, and phi(r + h + 1) > 0 because r + h + 1 <= (r + 1)(h + 1) and
+    (h + 1) e^{-(h+1)} <= 1/e give phi(r + h + 1) >= (r + 1)(1 - 1/e).  Both
+    end signs are checked in floats; a failure raises BracketFailure.
+
+    Newton: phi'(y) = 1 - e^{r-y} + y e^{r-y} > 0 for y > r, and
+    phi''(y) = (2 - y) e^{r-y}, so phi rises on the bracket, convex below
+    y = 2 and concave above it.  Newton starts at clamp(2, lo, hi).
+    - A root below 2 lies under the start, where phi >= 0, on the convex
+      side: each tangent meets zero between the root and the iterate, so the
+      iterates fall to the root.  phi' is concave there (its derivative
+      phi'' falls, as phi''' = (y - 3) e^{r-y} < 0), so phi/phi' is at least
+      half the error and each step at least halves it.  A step is at most
+      the error it starts from, which is then at most the step before.
+    - A root at or above 2 lies over the start, where phi <= 0, on the
+      concave side, so the iterates rise to it.  There y >= h, so
+      |phi| <= y e^{r-y}, and |phi phi''| <= y (y - 2) e^{2(r-y)} < phi'^2:
+      the step length -phi/phi' falls as y rises.
+    So in exact arithmetic every step points the same way as the one before
+    and is shorter.  Iteration stops at the first step that would reverse
+    direction or fails to shrink: from there the float residual is rounding
+    noise, which can creep y by an ulp a step for a long time, so "stop once
+    y stops moving" need not end.  phi is evaluated as -y expm1(r - y) - h
+    and phi' as a sum of two positive terms, so both keep their relative
+    accuracy as y nears r.  `_NEWTON_CAP` steps raise MaxIterExceeded.
     """
     if h == 0.0:
         return r
-    phi = lambda y: y - y * math.exp(r - y) - h
     lo = max(r, h)
     hi = r + h + 1.0
-    flo, fhi = phi(lo), phi(hi)
+    flo = -lo * math.expm1(r - lo) - h
+    fhi = -hi * math.expm1(r - hi) - h
     if flo > 0.0 or fhi < 0.0:
         raise BracketFailure(f"equilibrium bracket failed for r={r}, h={h}: ({flo}, {fhi})")
-    y = bisect(lambda y: phi(y) <= 0.0, lo, hi)
-    # phi'(y) = 1 - (1 - y) e^{r-y}
-    dphi = 1.0 - (1.0 - y) * math.exp(r - y)
-    if dphi != 0.0:
-        y -= phi(y) / dphi
-    return y
+    y = min(max(2.0, lo), hi)
+    last = 0.0
+    for _ in range(_NEWTON_CAP):
+        m = math.expm1(r - y)
+        step = (-y * m - h) / (y * (m + 1.0) - m)
+        if step == 0.0 or step * last < 0.0 or abs(step) >= abs(last) > 0.0:
+            return y
+        y -= step
+        last = step
+    raise MaxIterExceeded(f"equilibrium Newton did not settle in {_NEWTON_CAP} steps for r={r}, h={h}")
 
 
 def _local_verdict(r: float, y: float, band: float = _MARGINAL_BAND) -> LocalVerdict:
@@ -140,25 +171,6 @@ def solve_equilibrium(params: ModelParams) -> EquilibriumReport:
         y_bar=y, trace=trace, det=det, eigenvalues=eig,
         local_verdict=verdict, residual=residual,
     )
-
-
-def equilibria_grid(r: np.ndarray, h: np.ndarray, iters: int = 90) -> np.ndarray:
-    """Vectorized equilibrium solve over parameter arrays (used by sweeps)."""
-    r = np.asarray(r, dtype=float)
-    h = np.asarray(h, dtype=float)
-    lo = np.maximum(r, h)
-    hi = r + h + 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        neg = mid - mid * np.exp(r - mid) - h <= 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    y = 0.5 * (lo + hi)
-    for _ in range(2):
-        phi = y - y * np.exp(r - y) - h
-        dphi = 1.0 - (1.0 - y) * np.exp(r - y)
-        y = y - np.where(dphi != 0.0, phi / dphi, 0.0)
-    return np.where(h == 0.0, r, y)
 
 
 # ---------------------------------------------------------------------------

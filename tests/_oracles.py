@@ -1,9 +1,9 @@
 """Independent oracles used by the tests.
 
-Everything here deliberately avoids the library's own solvers: equilibria and
-cycles are recomputed with 40-digit mpmath bisection/Newton, and orbits are
-re-simulated with a separate vectorized numpy iteration.  Expected values
-frozen into the tests were produced by these same routines.
+Everything here deliberately avoids the library's own solvers: equilibria are
+recomputed by 50-digit and cycles by 40-digit mpmath bisection/Newton, and
+orbits are re-simulated with a separate vectorized numpy iteration.  Expected
+values frozen into the tests were produced by these same routines.
 """
 from __future__ import annotations
 
@@ -14,21 +14,22 @@ mp.mp.dps = 40
 
 
 def mp_equilibrium(r, h) -> mp.mpf:
-    """High-precision bisection for y - y e^{r-y} - h = 0 on (max(r,h), hi]."""
-    r, h = mp.mpf(r), mp.mpf(h)
+    """y - y e^{r-y} - h = 0 at 50 digits, bisected on (max(r, h), r + h + 1]
+    until the bracket is below 1e-50 of its lower end.  The residual is
+    taken as -y expm1(r - y) - h, which keeps its digits as y nears r."""
     if h == 0:
-        return r
-    phi = lambda y: y - y * mp.e ** (r - y) - h
-    lo = max(r, h) + mp.mpf("1e-30")
-    hi = h + mp.e ** (r - 1) + 1
-    assert phi(lo) < 0 < phi(hi)
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if phi(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+        return mp.mpf(r)
+    with mp.workdps(50):
+        r, h = mp.mpf(r), mp.mpf(h)
+        lo, hi = max(r, h), r + h + 1
+        tol = mp.mpf(10) ** -50
+        while hi - lo > lo * tol:
+            mid = (lo + hi) / 2
+            if -mid * mp.expm1(r - mid) - h <= 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
 
 
 def _mp_bisect(below, lo, hi, steps=240) -> mp.mpf:

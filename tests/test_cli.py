@@ -149,6 +149,13 @@ def test_growth_rate_past_exp_overflow(capsys):
     assert json.loads(out)["verdict"] == "GloballyStable"
 
 
+def test_equilibrium_bracket_failure_is_a_typed_error(capsys):
+    # r + h + 1 rounds to r = max(r, h), so the upper bracket end reads negative
+    code, out, err = run(capsys, "equilibrium", "--r", "1e16", "--h", "1")
+    assert code == 3 and out == ""
+    assert "equilibrium bracket failed" in err and "Traceback" not in err
+
+
 def test_huge_stocking_gets_a_verdict(capsys):
     code, out, _ = run(capsys, "equilibrium", "--r", "2", "--h", "1e17", "--json")
     assert code == 0
@@ -259,6 +266,32 @@ def test_sweep_single_cell_matches_certify(capsys, tmp_path):
     ts = thresholds(3.0)
     assert float(cell[4]) == pytest.approx(ts.r1, abs=1e-15)
     assert float(cell[5]) == pytest.approx(ts.r2, abs=1e-15)
+
+
+def test_constant_sweep_y_bar_is_the_point_solve(capsys):
+    # a coarser grid over the README plane; an array solve of its own, as the
+    # sweep once had, rounds y_bar differently on about 1 cell in 8 here
+    code, out, _ = run(capsys, "sweep", "--mode", "constant",
+                       "--h-lo", "0.1", "--h-hi", "10", "--nh", "20",
+                       "--r-lo", "0.1", "--r-hi", "8", "--nr", "50")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 1000
+    for h, r, _, y_bar in (row[:4] for row in rows):
+        assert float(y_bar) == solve_equilibrium(ModelParams.constant(float(r), float(h))).y_bar
+
+
+def test_periodic_sweep_degenerate_rows_are_the_point_solve(capsys):
+    code, out, _ = run(capsys, "sweep", "--mode", "periodic", "--r", "1",
+                       "--h0-lo", "0.1", "--h0-hi", "10", "--nh0", "12",
+                       "--h1-lo", "0.1", "--h1-hi", "10", "--nh1", "12")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    degenerate = [row for row in rows if row[0] == row[1]]
+    assert len(degenerate) == 12
+    for h, _, r, tag, z0, z1 in (row[:6] for row in degenerate):
+        y_bar = solve_equilibrium(ModelParams.constant(float(r), float(h))).y_bar
+        assert tag == "NotApplicable" and float(z0) == float(z1) == y_bar
 
 
 def test_sweep_tags_match_certify_on_random_cells(capsys, tmp_path):

@@ -15,8 +15,9 @@ from ricker_lab import (
     solve_equilibrium,
     thresholds,
 )
-from ricker_lab.constant import _equilibrium_root, _g1, equilibria_grid
-from ricker_lab.errors import BracketFailure, Infeasible
+from ricker_lab import constant
+from ricker_lab.constant import _equilibrium_root, _g1
+from ricker_lab.errors import BracketFailure, Infeasible, MaxIterExceeded
 
 from _oracles import mp_equilibrium, mp_pseudo_pair, orbit_batch
 
@@ -63,26 +64,16 @@ def test_equilibrium_tiny_stocking_against_oracle(r, h, tag):
     expected = float(mp_equilibrium(r, h))
     y = solve_equilibrium(ModelParams.constant(r, h)).y_bar
     assert y == pytest.approx(expected, rel=4e-16)
-    assert equilibria_grid(np.array([r]), np.array([h]))[0] == pytest.approx(expected, rel=4e-16)
     assert certify_constant(ModelParams.constant(r, h)).tag is tag
 
 
 # past r of about 710, e^{r-1} overflows a float
 @pytest.mark.parametrize("r, h", [(800.0, 1.0), (800.0, 900.0), (750.0, 1e-9)])
 def test_equilibrium_past_exp_overflow_against_findroot(r, h):
-    # mp_equilibrium's fixed 200 halvings cannot narrow a bracket as wide as
-    # e^{r-1}, so the oracle here is mpmath's own root finder
+    # a second oracle beside mp_equilibrium's bisection: mpmath's own root finder
     R, H = mp.mpf(r), mp.mpf(h)
     expected = float(mp.findroot(lambda y: y - y * mp.e ** (R - y) - H, max(R, H) + 1))
     assert solve_equilibrium(ModelParams.constant(r, h)).y_bar == pytest.approx(expected, rel=4e-16)
-    assert equilibria_grid(np.array([r]), np.array([h]))[0] == pytest.approx(expected, rel=4e-16)
-
-
-@pytest.mark.parametrize("r", [80.0, 200.0, 700.0, 750.0])
-def test_equilibria_grid_equals_scalar_root_at_large_growth_rates(r):
-    # a fixed count of halvings cannot narrow an e^{r-1}-wide bracket; the
-    # r + h + 1 end is never wider than about twice the root
-    assert equilibria_grid(np.array([r]), np.array([1.0]))[0] == _equilibrium_root(r, 1.0)
 
 
 def test_equilibrium_zero_stocking_limit():
@@ -153,13 +144,51 @@ def test_equilibrium_increasing_in_h_and_r():
             solve_equilibrium(ModelParams.constant(r2, h)).y_bar
 
 
-def test_equilibria_grid_matches_scalar():
-    rng = np.random.default_rng(37)
-    r = rng.uniform(0.1, 4.0, size=50)
-    h = rng.uniform(0.01, 8.0, size=50)
-    grid = equilibria_grid(r, h)
-    for ri, hi, yi in zip(r, h, grid):
-        assert yi == pytest.approx(solve_equilibrium(ModelParams.constant(ri, hi)).y_bar, abs=1e-9)
+def _ulps_from_root(y, r, h):
+    ref = mp_equilibrium(r, h)
+    return float(abs(mp.mpf(y) - ref)) / math.ulp(float(ref))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(r=st.floats(0.1, 8.0), h=st.floats(0.1, 10.0))
+def test_equilibrium_root_within_one_and_a_half_ulps(r, h):
+    assert _ulps_from_root(_equilibrium_root(r, h), r, h) <= 1.5
+
+
+# y - y e^{r-y} cancels as y nears r: a solve that evaluates the residual
+# that way is off by up to about 3e-11 relative at small r
+@settings(max_examples=300, deadline=None, database=None)
+@given(log_r=st.floats(math.log(1e-6), math.log(700.0)),
+       log_h=st.floats(math.log(1e-12), math.log(1e12)))
+def test_equilibrium_root_on_wide_log_uniform_points(log_r, log_h):
+    r, h = math.exp(log_r), math.exp(log_h)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constant, "_NEWTON_CAP", 30)
+        y = _equilibrium_root(r, h)
+    ref = mp_equilibrium(r, h)
+    assert abs(mp.mpf(y) - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("r, h", [(1e-300, 1e-300), (1e-20, 1e-40), (1e-12, 1e-3), (5e-324, 1e-300)])
+def test_equilibrium_root_at_tiny_growth_and_stocking(r, h):
+    # the root lies near sqrt(h) or r + h/r, far below the float resolution of 1
+    y = _equilibrium_root(r, h)
+    ref = mp_equilibrium(r, h)
+    assert abs(mp.mpf(y) - ref) <= 1e-15 * ref
+
+
+def test_equilibrium_root_stops_where_rounding_creeps(monkeypatch):
+    # near this root the float residual moves y by one ulp a step for a long
+    # time, so "stop once y stops moving" does not end here
+    r, h = 0.0030637751815563307, 1.917540791515548e-09
+    monkeypatch.setattr(constant, "_NEWTON_CAP", 30)
+    assert _ulps_from_root(_equilibrium_root(r, h), r, h) <= 1.5
+
+
+def test_equilibrium_root_cap_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(constant, "_NEWTON_CAP", 1)
+    with pytest.raises(MaxIterExceeded, match="did not settle"):
+        _equilibrium_root(2.0, 2.6)
 
 
 # ---------------------------------------------------------------------------

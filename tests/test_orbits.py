@@ -19,6 +19,7 @@ from ricker_lab import (
     neimark_sacker_scan,
     simulate,
     solve_two_cycle,
+    thresholds,
 )
 from ricker_lab import orbits
 from ricker_lab._roots import bisect
@@ -151,6 +152,18 @@ def test_ns_scan_constant():
     assert report.complex_pair
     assert report.modulus == pytest.approx(1.0, abs=1e-7)
     assert report.kind == "equilibrium"
+
+
+# At the equilibrium trace = 1 - h/y lies in (0, 1) and det = y - h > 0, so a
+# real pair stays inside the unit circle and a complex pair has modulus
+# sqrt(det): the only crossing in r is det = 1, that is y = 1 + h, at r1(h).
+@settings(max_examples=60, deadline=None, database=None)
+@given(h=st.floats(0.05, 50.0))
+def test_ns_scan_constant_crossing_is_r1(h):
+    r1, width = thresholds(h).r1, 1e-8
+    report = neimark_sacker_scan(lambda s: ModelParams.constant(s, h), r1 - 0.25, r1 + 0.25,
+                                 refine_width=width)
+    assert abs(report.s_star - r1) <= width
 
 
 def test_ns_scan_periodic():
