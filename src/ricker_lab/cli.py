@@ -282,11 +282,24 @@ def _sweep_periodic_rows(r: float, h0_vals: np.ndarray, h1_vals: np.ndarray, art
     return rows
 
 
+# sweep mode -> the options it requires and the one it also takes; a mode
+# rejects the other's options.  --art-grid gets its default, 128, in cmd_sweep
+# and not in `_COMMANDS`, so that a constant sweep can tell whether it was given
+_SWEEP_MODES = {
+    "constant": (("h_lo", "h_hi", "nh", "r_lo", "r_hi", "nr"), "curves"),
+    "periodic": (("r", "h0_lo", "h0_hi", "nh0", "h1_lo", "h1_hi", "nh1"), "art_grid"),
+}
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
+    for mode, (required, optional) in _SWEEP_MODES.items():
+        for name in (*required, optional):
+            given = getattr(args, name) is not None
+            if mode != args.mode and given:
+                raise ValueError(f"sweep --mode {args.mode} does not take {_flag(name)}")
+            if mode == args.mode and name in required and not given:
+                raise ValueError(f"{mode} sweep requires {_flag(name)}")
     if args.mode == "constant":
-        for name in ("h_lo", "h_hi", "nh", "r_lo", "r_hi", "nr"):
-            if getattr(args, name) is None:
-                raise ValueError(f"constant sweep requires {_flag(name)}")
         # written as one positive condition, so that NaN and inf bounds fail it
         if not (args.nh >= 1 and args.nr >= 1 and 0 < args.h_lo <= args.h_hi < math.inf
                 and 0 < args.r_lo <= args.r_hi < math.inf):
@@ -307,15 +320,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _emit(curve_lines, curves_path)
         return 0
 
-    for name in ("r", "h0_lo", "h0_hi", "nh0", "h1_lo", "h1_hi", "nh1"):
-        if getattr(args, name) is None:
-            raise ValueError(f"periodic sweep requires {_flag(name)}")
     if not (args.nh0 >= 1 and args.nh1 >= 1 and 0 <= args.h0_lo <= args.h0_hi < math.inf
             and 0 <= args.h1_lo <= args.h1_hi < math.inf):
         raise ValueError("sweep grid must have finite non-negative ranges and positive counts")
     h0_vals = np.linspace(args.h0_lo, args.h0_hi, args.nh0)
     h1_vals = np.linspace(args.h1_lo, args.h1_hi, args.nh1)
-    _emit([_SWEEP_HEADER_PERIODIC, *_sweep_periodic_rows(args.r, h0_vals, h1_vals, args.art_grid)], args.out)
+    art_grid = 128 if args.art_grid is None else args.art_grid
+    _emit([_SWEEP_HEADER_PERIODIC, *_sweep_periodic_rows(args.r, h0_vals, h1_vals, art_grid)], args.out)
     return 0
 
 
@@ -392,7 +403,7 @@ _COMMANDS = {
         "r_lo": _Option(), "r_hi": _Option(), "nr": _Option(int),
         "r": _Option(), "h0_lo": _Option(), "h0_hi": _Option(), "nh0": _Option(int),
         "h1_lo": _Option(), "h1_hi": _Option(), "nh1": _Option(int),
-        "art_grid": _Option(int, 128, min=2), **_OUT, "curves": _Option(str),
+        "art_grid": _Option(int, min=2), **_OUT, "curves": _Option(str),
     }),
     "orbit": _Command(cmd_orbit, "orbit dump as CSV (n, x_n, x_prev, parity)", {
         **_R, **_STOCKING,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from ._roots import bisect
 from .errors import BracketFailure, Infeasible, MaxIterExceeded
-from .model import ModelParams, PlanarPoint, planar_maps
-from .embedding import BoxRegion
+from .model import ModelParams, PlanarPoint
+from .embedding import BoxRegion, compatible_box
 from .verdicts import (
     ClassificationVerdict,
     LocalVerdict,
@@ -220,28 +220,24 @@ def find_intersections(params: ModelParams) -> list[PlanarPoint]:
 def feasible_ab(params: ModelParams, target: PlanarPoint | tuple[float, float]) -> BoxRegion:
     """A box (a, b) with (a, b) <= (F(a, b), F(b, a)) southeast enclosing `target`.
 
-    Exists exactly when h > r: pick a between r and h, then any b at or above
-    g1(a) works because a < h guarantees a < F(a, b) while b >= g1(a) is
-    b >= F(b, a).  The box is widened until the target is inside.
+    Exists exactly when h > r: pick a between r and h, then any b above
+    g1(a) works because a < h guarantees a < F(a, b) while b > g1(a) is
+    b > F(b, a).  The box is `embedding.compatible_box` of the target, in
+    closed form and checked strictly; Infeasible where h or a target
+    coordinate is at or below r, or within rounding of it.
     """
     if params.p != 1:
         raise ValueError("feasible_ab requires constant stocking (p = 1)")
     r, h = params.r, params.h_const
     if h <= r:
         raise Infeasible(f"no compatible box exists when h <= r (h={h}, r={r})")
-    tx, ty = target
-    t_min, t_max = min(tx, ty), max(tx, ty)
+    t_min, t_max = min(target), max(target)
     if t_min <= r:
         raise Infeasible(f"target {target} has a coordinate at or below r={r}")
-    F, = planar_maps(params)
-    a = r + 0.5 * (min(h, t_min) - r)
-    for _ in range(60):
-        b = max(_g1(a, r, h) + 1e-9, t_max)
-        ok = a <= F(a, b) and b >= F(b, a) and a <= t_min and b >= t_max
-        if ok:
-            return BoxRegion(a, b)
-        a = r + 0.5 * (a - r)
-    raise Infeasible(f"could not construct a compatible box for target {target}")
+    box = compatible_box(params, t_min, t_max)
+    if box is None:
+        raise Infeasible(f"no compatible box for target {target}: min(h, target) = r={r} to float resolution")
+    return box
 
 
 _PROV_GLOBAL = "r <= r2: single diagonal intersection, monotone corner orbits collapse to it"
@@ -270,8 +266,10 @@ def _constant_tag(r: float, h: float, ts: ThresholdSet, y_bar: float) -> Verdict
 def certify_constant(params: ModelParams) -> ClassificationVerdict:
     """Classify the long-run behavior under constant stocking.
 
-    GloballyStable for r <= r2 (with a compatible witness box); AbsorbingBox
-    [x*, y*] for r2 < r < h, bounded by the pseudo fixed points; otherwise the
+    GloballyStable for r <= r2; AbsorbingBox [x*, y*] for r2 < r < h,
+    bounded by the pseudo fixed points.  Both carry the witness box
+    `embedding.compatible_box` builds around y_bar or y*, or none where
+    h <= r or h = r to float resolution.  Otherwise the
     conjecture region tag LocallyStableGlobalOpen while the equilibrium is
     Jury-stable, and Unstable beyond r1.  The open-region tag is never
     upgraded even when orbits visibly converge.
@@ -286,10 +284,8 @@ def certify_constant(params: ModelParams) -> ClassificationVerdict:
     tag = _constant_tag(r, h, ts, report.y_bar)
 
     if tag is VerdictTag.GLOBALLY_STABLE:
-        witness = None
-        if h > r:
-            box = feasible_ab(params, PlanarPoint(report.y_bar, report.y_bar))
-            witness = (box.a, box.b)
+        box = compatible_box(params, report.y_bar, report.y_bar)
+        witness = None if box is None else (box.a, box.b)
         return ClassificationVerdict(
             tag=tag, provenance=_PROV_GLOBAL, witness=witness,
             local=report.local_verdict,
@@ -298,13 +294,13 @@ def certify_constant(params: ModelParams) -> ClassificationVerdict:
         pts = find_intersections(params)
         xs = min(p.x for p in pts)
         ys = max(p.x for p in pts)
-        box = feasible_ab(params, PlanarPoint(ys, ys))
+        box = compatible_box(params, ys, ys)
         note = ""
         if report.local_verdict is LocalVerdict.MARGINAL:
             note = "equilibrium on the local-stability boundary"
         return ClassificationVerdict(
             tag=tag, provenance=_PROV_BOX, note=note, box=(xs, ys),
-            witness=(box.a, box.b), local=report.local_verdict,
+            witness=None if box is None else (box.a, box.b), local=report.local_verdict,
         )
     if tag is VerdictTag.LOCALLY_STABLE_GLOBAL_OPEN:
         note = "convergence in this region is conjectured, not certified"

@@ -21,6 +21,7 @@ box.  Corner limits are fixed points of G and bound the attractor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -32,8 +33,9 @@ from .errors import (
     NonMonotoneDetected,
     NotAFixedPoint,
     PreconditionViolated,
+    WitnessConstructionFailed,
 )
-from .model import PlanarMap, QuadPoint, RickerMap
+from .model import ModelParams, PlanarMap, QuadPoint, RickerMap, planar_maps
 
 QuadMap = Callable[[Sequence[float]], QuadPoint]
 
@@ -111,6 +113,54 @@ def box_compatible(G: QuadMap, box: BoxRegion) -> bool:
     """
     img = G((box.a, box.b, box.b, box.a))
     return box.a <= img[0] and img[2] <= box.b
+
+
+def _compatibility_curves(t: float, r: float, h0: float, h1: float) -> tuple[float, float]:
+    """c1(t) = h0 / (1 - e^{r-t}) and c2(t) = (h0 e^{r-t} + h1) / (1 - e^{2(r-t)}): the b whose
+    one-step image b e^{r-t} + h0, and two-step image (b e^{r-t} + h0) e^{r-t} + h1, is b.
+    The denominators come from expm1, which keeps their digits as t nears r."""
+    return h0 / -math.expm1(r - t), (h0 * math.exp(r - t) + h1) / -math.expm1(2.0 * (r - t))
+
+
+def compatible_box(params: ModelParams, lo: float, hi: float) -> BoxRegion | None:
+    """The witness box [a, b]^2 of one stocking period (h0, h1), or (h,) read
+    as h0 = h1 = h, holding the target [lo, hi]:
+
+        a = r + (min(h, lo) - r) / 2,    b = 2 max(c1(a), c2(a), hi)
+
+    from `_compatibility_curves` (one map uses c1 = g1 alone).  Each
+    embedded map of the period, in turn, moves the lower corner
+    (a, b, b, a) strictly up in the southeast order:
+    - a < min(h) lifts both corner images above a: F_j(x, y) > h_j > a.
+    - With f = e^{r-a} < 1, b > c1(a) is b f + h0 < b and b > c2(a) is
+      (b f + h0) f + h1 < b: the one-step and two-step images stay below b.
+    - The factor 2 keeps that margin above rounding.  With the float f at
+      1 - k u, u = 2^-53, h0 <= b (k + 1/2) u / 2, so b f + h0, b f rounded,
+      lies (k - 5/2) b u / 2 below b, and the two-step image lies about
+      (k - 1/2) b u below b after three roundings of at most b u each.  Both
+      clear the last rounding, at most b u, once k >= 5.
+    The walk checks this in floats with strict inequalities.  None means
+    min(h, lo) = r to float resolution: a is not strictly between r and
+    min(h, lo), or the walk fails with k <= 4; with k >= 5 a failed walk
+    raises WitnessConstructionFailed.  A b past the float range is cut to
+    the largest float, and the walk decides.
+    """
+    r, h = params.r, params.stocking
+    floor = min(*h, lo)
+    a = r + 0.5 * (floor - r)
+    if not r < a < floor:
+        return None
+    b = min(2.0 * max(*_compatibility_curves(a, r, h[0], h[-1])[:len(h)], hi), sys.float_info.max)
+    q = QuadPoint(a, b, b, a)
+    ok = hi < b
+    for F in planar_maps(params):
+        q = build_embedding(F)(q)
+        ok = ok and q.x > a and q.u < b
+    if ok:
+        return BoxRegion(a, b)
+    if math.exp(r - a) >= 1.0 - 4 * 2.0**-53:
+        return None
+    raise WitnessConstructionFailed(f"box ({a}, {b}) failed its strict check for r={r}, h={h}")
 
 
 def sample_monotone(G: QuadMap, box: BoxRegion, samples: int, seed: int = 0) -> None:

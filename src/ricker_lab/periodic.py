@@ -21,13 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._roots import bisect, newton_2d
-from .embedding import BoxRegion, build_folded_embedding
-from .errors import (
-    ContradictionDetected,
-    NonConvergence,
-    PreconditionViolated,
-    WitnessConstructionFailed,
-)
+from .embedding import _compatibility_curves, build_folded_embedding, compatible_box
+from .errors import ContradictionDetected, NonConvergence, PreconditionViolated
 from .model import ModelParams, QuadPoint, planar_maps
 from .verdicts import (
     ClassificationVerdict,
@@ -235,15 +230,13 @@ def feasibility_curves(t: float, params: ModelParams) -> tuple[float, float]:
 
     First value: h0 / (1 - f(t)), the height making the one-step condition an
     equality.  Second: (h0 f(t) + h1) / (1 - f(t)^2) for the two-step
-    condition.  Both have a pole at t = r and decay to h0 and h1.
+    condition.  Both have a pole at t = r and decay to h0 and h1.  They are
+    the curves `embedding.compatible_box` places its witness box by.
     """
     r, h0, h1 = _require_two_periodic(params)
     if t <= r:
         raise ValueError(f"feasibility curves are defined for t > r, got t={t}, r={r}")
-    ft = math.exp(r - t)
-    if ft == 1.0:
-        raise ValueError(f"t={t} is within rounding of the pole at r={r}")
-    return h0 / (1.0 - ft), (h0 * ft + h1) / (1.0 - ft * ft)
+    return _compatibility_curves(t, r, h0, h1)
 
 
 # ---------------------------------------------------------------------------
@@ -476,50 +469,6 @@ def find_artificial_cycles(
 # ---------------------------------------------------------------------------
 
 
-def _witness_box(params: ModelParams, report: TwoCycleReport) -> BoxRegion:
-    """A box satisfying the alternating compatibility inequalities strictly.
-
-    For h0 > h1 take a slightly above r with b on the one-step curve; for
-    h0 < h1 take b beyond the two-step curve at h0 with a on the one-step
-    curve.  All inequalities are re-verified by direct evaluation.
-    """
-    r, h0, h1 = _require_two_periodic(params)
-    f0, f1 = planar_maps(params)
-    z_lo, z_hi = min(report.z0, report.z1), max(report.z0, report.z1)
-
-    def valid(a: float, b: float) -> bool:
-        if not (r < a < b) or a >= z_lo or b <= z_hi:
-            return False
-        fa = f0(a, b)
-        fb = f0(b, a)
-        return a < min(fa, f1(fa, b)) and b > max(fb, f1(fb, a))
-
-    if h0 > h1:
-        for k in range(1, 60):
-            a = r + (h1 - r) * 0.5**k
-            try:
-                one_step, _ = feasibility_curves(a, params)
-            except ValueError:
-                break  # a has reached the curves' pole at r, or h1 <= r
-            b = max(one_step * (1.0 + 1e-12) + 1e-12, z_hi + 1.0)
-            if valid(a, b):
-                return BoxRegion(a, b)
-    else:
-        try:
-            _, two_step = feasibility_curves(h0, params)
-        except ValueError:
-            raise WitnessConstructionFailed("needs h0 > r, beyond rounding, for the two-step corner") from None
-        base = max(two_step, z_hi, r) + 1.0
-        for k in range(60):
-            b = base * 2.0**k
-            a = feasibility_curves(b, params)[0] * (1.0 - 1e-12)
-            if valid(a, b):
-                return BoxRegion(a, b)
-    raise WitnessConstructionFailed(
-        f"no compatible box found for r={r}, h=({h0}, {h1})"
-    )
-
-
 _PROV_GS2 = "h0,h1 > r and the folded embedded map has a unique fixed point: 2-cycle attracts globally"
 _PROV_BOX2 = "artificial cycles present: even/odd tails bounded by their coordinates"
 _PROV_NA2 = "min(h0,h1) < r: no compatible box, embedding inapplicable"
@@ -535,7 +484,6 @@ def _periodic_verdict(
 ) -> ClassificationVerdict:
     """The verdict from the 2-cycle and `art`, the artificial-cycle scan's
     result, or None for a cell that is not certifiable."""
-    r, h0, h1 = _require_two_periodic(params)
     if art is None:
         return ClassificationVerdict(
             tag=VerdictTag.NOT_APPLICABLE,
@@ -543,18 +491,11 @@ def _periodic_verdict(
             note="certification unavailable; Jury verdict of the 2-cycle attached",
             local=report.local_verdict,
         )
-    boundary = min(h0, h1) == r
-    witness = None
-    if not boundary:
-        try:
-            box = _witness_box(params, report)
-            witness = (box.a, box.b)
-        except WitnessConstructionFailed:
-            if art.count == 0:
-                raise
+    box = compatible_box(params, min(report.z0, report.z1), max(report.z0, report.z1))
+    witness = None if box is None else (box.a, box.b)
     scan_note = f"uniqueness established at scan resolution {grid}x{grid}"
-    if boundary:
-        scan_note += "; min(h0,h1) = r exactly, witness box unavailable"
+    if box is None:
+        scan_note += "; min(h0,h1) = r to float resolution, witness box unavailable"
 
     if art.count == 0:
         return ClassificationVerdict(

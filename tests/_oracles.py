@@ -7,6 +7,8 @@ values frozen into the tests were produced by these same routines.
 """
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 import numpy as np
 
@@ -106,3 +108,19 @@ def orbit_batch(r: float, stocking, x0: np.ndarray, xm1: np.ndarray, n_steps: in
         # shift: loop stored steps n_steps-keep_last .. n_steps-1 at offsets 0..keep_last-1
         return kept
     return np.vstack([cur, prev])
+
+
+def strict_witness(r: float, stocking, a: float, b: float, lo: float, hi: float) -> bool:
+    """Whether [a, b]^2 holds [lo, hi] strictly and the maps
+    F_j(x, y) = x e^{r-y} + h_j of one stocking period, applied in turn to
+    the lower corner (a, b, b, a) of the embedding, each leave its x image
+    strictly above a and its u image strictly below b.  Plain float
+    arithmetic, none of the library's code."""
+    if not (a < lo and hi < b):
+        return False
+    x, y, u, v = a, b, b, a
+    for h in stocking:
+        x, y, u, v = x * math.exp(r - y) + h, u, u * math.exp(r - v) + h, x
+        if not (x > a and u < b):
+            return False
+    return True

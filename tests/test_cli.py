@@ -29,6 +29,8 @@ from ricker_lab import (
 from ricker_lab.cli import main
 from ricker_lab.errors import NonConvergence, WitnessConstructionFailed
 
+from _oracles import strict_witness
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -103,8 +105,9 @@ def test_certify_tiny_constant_stocking(capsys):
     assert json.loads(out)["y_bar"] == 2.0000000000005
 
 
-# h0 > h1 with h1 just above r: the one-step corner a = r + (h1 - r) 2^-k
-# reaches r, where the feasibility curves have their pole
+# h0 > h1 with h1 just above r, near the pole of the feasibility curves at
+# t = r: the witness box holds the 2-cycle and each map of the period moves
+# its lower corner strictly up
 @pytest.mark.parametrize("r, h0, h1", [
     (1.0, 2.0, 1.0001), (1.0, 2.0, 1.00000001), (1.0, 2.0, 1.000000000000001),
     (1.0, 1.5, 1.0001), (1.0, 1.2, 1.00001), (0.5, 0.9, 0.5000001),
@@ -114,15 +117,37 @@ def test_certify_one_step_corner_at_the_pole(capsys, r, h0, h1):
                        "--grid", "256", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["verdict"] == "AbsorbingBox" and payload["witness"] is None
+    assert payload["verdict"] == "AbsorbingBox" and payload["witness"] is not None
+    z0, z1 = payload["z0"], payload["z1"]
+    assert strict_witness(r, (h0, h1), *payload["witness"], min(z0, z1), max(z0, z1))
 
 
-# below r = 0.5 an ulp above r is within rounding of the pole, e^{r - t} == 1
+# below r = 0.5 an ulp above r is within rounding of r, so min(h0, h1) is r
+# to float resolution: each twin takes the boundary path of its equality
+# point, with the same tag and note and no witness box
 @pytest.mark.parametrize("h0, h1", [(0.5, 0.10000000000000002), (0.10000000000000002, 0.5)])
 def test_certify_stocking_within_rounding_of_r(capsys, h0, h1):
-    code, _, err = run(capsys, "certify", "--r", "0.1", "--h0", repr(h0), "--h1", repr(h1),
-                       "--grid", "64")
-    assert code == 3 and "numeric failure" in err
+    def certify(h0, h1):
+        code, out, _ = run(capsys, "certify", "--r", "0.1", "--h0", repr(h0), "--h1", repr(h1),
+                           "--grid", "64", "--json")
+        assert code == 0
+        return json.loads(out)
+
+    twin = certify(h0, h1)
+    equal = certify(*(0.1 if h == 0.10000000000000002 else h for h in (h0, h1)))
+    assert twin["verdict"] == equal["verdict"] == "GloballyStable"
+    assert twin["note"] == equal["note"]
+    assert "min(h0,h1) = r to float resolution" in twin["note"]
+    assert twin["witness"] is None and equal["witness"] is None
+
+
+def test_constant_box_regime_with_h_within_rounding_of_r_gets_no_witness(capsys):
+    # e^{r-h} stays below 1, so the pseudo fixed points are found, but the
+    # witness corner a, halfway from r to h, is within rounding of r
+    code, out, _ = run(capsys, "certify", "--r", "0.1", "--h", "0.10000000000000007", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "AbsorbingBox" and payload["witness"] is None
 
 
 @pytest.mark.parametrize("argv", [
@@ -519,20 +544,20 @@ def test_failing_periodic_sweep_reports_its_first_failing_cell(capsys):
 def test_sweep_failure_order_spans_waiting_cells(capsys, monkeypatch, cert_fails, solve_fails):
     # a cell that waits for its chunk's certification still fails before a
     # later cell whose 2-cycle solve fails, and after an earlier one
-    solve, witness = cli.solve_two_cycle, periodic._witness_box
+    solve, build = cli.solve_two_cycle, periodic.compatible_box
 
     def failing_solve(params):
         if params.stocking == solve_fails:
             raise NonConvergence(f"solve failed at {params.stocking}")
         return solve(params)
 
-    def failing_witness(params, report):
+    def failing_build(params, lo, hi):
         if params.stocking == cert_fails:
             raise WitnessConstructionFailed(f"no box at {params.stocking}")
-        return witness(params, report)
+        return build(params, lo, hi)
 
     monkeypatch.setattr(cli, "solve_two_cycle", failing_solve)
-    monkeypatch.setattr(periodic, "_witness_box", failing_witness)
+    monkeypatch.setattr(periodic, "compatible_box", failing_build)
     code, out, err = run(capsys, "sweep", "--mode", "periodic", "--r", "1",
                          "--h0-lo", "1.5", "--h0-hi", "2", "--nh0", "2",
                          "--h1-lo", "1.5", "--h1-hi", "2", "--nh1", "2")
@@ -557,6 +582,50 @@ def test_periodic_sweep_memory_is_bounded_by_one_chunk(tmp_path, n, art_grid):
     finally:
         tracemalloc.stop()
     assert code == 0 and peak < 1.5 * 2**20
+
+
+_SWEEP_GRIDS = {
+    "constant": ["--h-lo", "0.5", "--h-hi", "1", "--nh", "2", "--r-lo", "0.2", "--r-hi", "1", "--nr", "2"],
+    "periodic": ["--r", "1", "--h0-lo", "1.5", "--h0-hi", "2", "--nh0", "2",
+                 "--h1-lo", "1.5", "--h1-hi", "2", "--nh1", "2"],
+}
+
+
+# an option of the other mode used to be ignored: `--mode periodic --curves`
+# wrote no curves file, `--mode constant --art-grid 64 --r 5 --h0-lo 3` ran
+# the constant sweep
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("mode, key, value", [
+    ("constant", "art-grid", "64"), ("constant", "r", "5"), ("constant", "h0-lo", "3"),
+    ("constant", "nh1", "4"), ("periodic", "curves", "c.csv"), ("periodic", "h-lo", "1"),
+    ("periodic", "nr", "4"),
+])
+def test_sweep_rejects_the_other_modes_options(capsys, tmp_path, monkeypatch, source, mode, key, value):
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--mode", mode, *_SWEEP_GRIDS[mode], "--out", "s.csv"]
+    if source == "flag":
+        argv += [f"--{key}", value]
+    else:
+        (tmp_path / "run.cfg").write_text(f"{key}={value}\n")
+        argv += ["--config", "run.cfg"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: sweep --mode {mode} does not take --{key}\n"
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["constant", "periodic"])
+def test_sweep_takes_its_own_options_from_a_config_file(capsys, tmp_path, monkeypatch, mode):
+    monkeypatch.chdir(tmp_path)
+    own = {"constant": "curves=c.csv", "periodic": "art-grid=64"}[mode]
+    (tmp_path / "run.cfg").write_text(own + "\n")
+    code, _, _ = run(capsys, "sweep", "--mode", mode, *_SWEEP_GRIDS[mode],
+                     "--out", "s.csv", "--config", "run.cfg")
+    assert code == 0
+    if mode == "constant":
+        assert (tmp_path / "c.csv").read_text().startswith("h,r1,r2,r_diag\n")
+    else:
+        assert (tmp_path / "s.csv").read_text().splitlines()[2].endswith(",art-grid=64")
 
 
 def test_sweep_rejects_bad_grid(capsys):

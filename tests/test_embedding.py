@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ricker_lab import (
     BoxRegion,
@@ -18,7 +18,7 @@ from ricker_lab import (
     simulate,
 )
 from ricker_lab import embedding
-from ricker_lab.embedding import box_compatible, build_folded_embedding
+from ricker_lab.embedding import box_compatible, build_folded_embedding, compatible_box
 from ricker_lab.errors import (
     MaxIterExceeded,
     NonMonotoneDetected,
@@ -26,7 +26,7 @@ from ricker_lab.errors import (
     PreconditionViolated,
 )
 
-from _oracles import mp_equilibrium
+from _oracles import mp_equilibrium, strict_witness
 
 YBAR_2_3 = 3.6839070955344095
 # pseudo fixed points of (r=2, h=2.6), frozen from the scalar 2-cycle oracle
@@ -255,6 +255,36 @@ def test_planar_maps_embeddings_preserve_the_order_in_floats(r, h0, h1, pair):
     f0, f1 = fs[0], fs[-1]
     for G in (build_embedding(f0), build_folded_embedding(f0, f1)):
         assert se_leq(G(p), G(q))
+
+
+# a gap drawn log-uniformly from 1e-13 to 10
+_LOG_GAP = st.floats(-13.0, 1.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(r=st.floats(-4.0, 3.0).map(math.exp), gap=_LOG_GAP, spread=_LOG_GAP,
+       above=_LOG_GAP, width=_LOG_GAP, kind=st.sampled_from(("constant", "h0 > h1", "h0 < h1")))
+# min(h0, h1) = r exactly, its rounding twin at r = 0.1 and h1 at the pole
+@example(r=1.0, gap=0.0, spread=1.0, above=0.5, width=1.0, kind="h0 > h1")
+@example(r=0.1, gap=1.3877787807814457e-17, spread=0.4, above=0.5, width=0.2, kind="h0 > h1")
+@example(r=1.0, gap=1.1102230246251565e-15, spread=1.0, above=0.9, width=1.5, kind="h0 > h1")
+def test_compatible_box_is_strict_or_at_float_resolution(r, gap, spread, above, width, kind):
+    # min(h) = r + gap; the other stocking value lies `spread` above it, and
+    # the target [lo, hi] `above` it, `width` wide
+    low = r + gap
+    stocking = {"constant": (low,), "h0 > h1": (low + spread, low), "h0 < h1": (low, low + spread)}[kind]
+    lo = low + above
+    hi = lo + width
+    box = compatible_box(ModelParams(r=r, stocking=stocking), lo, hi)
+    if box is None:
+        # a rounds to r: not strictly between r and min(h), or e^{r-a} within
+        # 4 ulps of 1
+        a = r + 0.5 * (low - r)
+        assert not r < a < low or math.exp(r - a) >= 1.0 - 4 * 2.0**-53
+    else:
+        assert strict_witness(r, stocking, box.a, box.b, lo, hi)
+        for F in planar_maps(ModelParams(r=r, stocking=stocking)):
+            assert box_compatible(build_embedding(F), box)
 
 
 def test_injectivity_on_samples():

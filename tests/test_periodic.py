@@ -588,6 +588,22 @@ def test_feasibility_curves():
         feasibility_curves(0.5, params)
 
 
+@pytest.mark.parametrize("offset", [1e-13, 1e-10, 1e-6, 1.0])
+@pytest.mark.parametrize("point", [(1.0, 2.0, 1.5), (0.3, 0.5, 0.4), (4.0, 4.5, 9.0)])
+def test_feasibility_curves_keep_their_digits_next_to_the_pole(point, offset):
+    # 1 - e^{r-t} formed by subtraction keeps only about -log10(t - r) of its
+    # digits (5e-11 and 1e-10 off at t - r = 1e-10); from expm1 both curves
+    # stay within 4 ulps of 1 of a 40-digit value at the same floats t and r
+    r, h0, h1 = point
+    t = r + offset
+    got = feasibility_curves(t, params_of(point))
+    with mp.workdps(40):
+        f = mp.exp(mp.mpf(r) - mp.mpf(t))
+        want = (h0 / (1 - f), (h0 * f + h1) / (1 - f * f))
+    for g, w in zip(got, want):
+        assert abs(g - w) / w <= 4 * 2.0**-53
+
+
 def test_artificial_cycles_found_and_absent():
     art = find_artificial_cycles(params_of((1.0, 2.0, 1.0)))
     assert art.count == 2
