@@ -67,10 +67,16 @@ class ThresholdSet:
     r2: float
 
 
+def _r1(h: float) -> float:
+    """r1(h) = h + 1 - ln(h + 1), the r where the equilibrium reaches 1 + h;
+    also defined at h = 0, where it is 1."""
+    return h + 1.0 - math.log(h + 1.0)
+
+
 def thresholds(h: float) -> ThresholdSet:
     if not math.isfinite(h) or h <= 0.0:
         raise ValueError(f"thresholds are defined for h > 0, got {h!r}")
-    r1 = h + 1.0 - math.log(h + 1.0)
+    r1 = _r1(h)
     disc = h * h + 4.0 * h
     if math.isfinite(disc):
         h_star = 0.5 * (h + math.sqrt(disc))

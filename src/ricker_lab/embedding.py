@@ -247,24 +247,35 @@ def corner_iterate(
     if monotone_samples > 0 and not proven:
         sample_monotone(G, box, monotone_samples, seed=seed)
 
+    # se_leq and _sup_dist are written out on coordinates unpacked once per
+    # step: five helper calls a step cost about as much as the step itself
     lower: Sequence[float] = QuadPoint(box.a, box.b, box.b, box.a)
     upper: Sequence[float] = QuadPoint(box.b, box.a, box.a, box.b)
+    lx, ly, lu, lv = lower
+    ux, uy, uu, uv = upper
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new_lower = G(lower)
-        new_upper = G(upper)
-        if compatible:
-            if not (se_leq(lower, new_lower) and se_leq(new_upper, upper)):
-                raise NonMonotoneDetected(
-                    f"corner orbit lost monotonicity at iterate {iterations}"
-                )
-        if not se_leq(new_lower, new_upper):
+        lower = G(lower)
+        upper = G(upper)
+        nlx, nly, nlu, nlv = lower
+        nux, nuy, nuu, nuv = upper
+        if compatible and not (
+            lx <= nlx and ly >= nly and lu >= nlu and lv <= nlv
+            and nux <= ux and nuy >= uy and nuu >= uu and nuv <= uv
+        ):
+            raise NonMonotoneDetected(
+                f"corner orbit lost monotonicity at iterate {iterations}"
+            )
+        if not (nlx <= nux and nly >= nuy and nlu >= nuu and nlv <= nuv):
             raise NonMonotoneDetected(
                 f"corner orbits crossed at iterate {iterations}; map is not order preserving"
             )
-        delta = max(_sup_dist(lower, new_lower), _sup_dist(upper, new_upper))
-        lower, upper = new_lower, new_upper
+        delta = max(
+            max(abs(lx - nlx), abs(ly - nly), abs(lu - nlu), abs(lv - nlv)),
+            max(abs(ux - nux), abs(uy - nuy), abs(uu - nuu), abs(uv - nuv)),
+        )
+        lx, ly, lu, lv, ux, uy, uu, uv = nlx, nly, nlu, nlv, nux, nuy, nuu, nuv
         if delta < tol:
             converged = True
             break

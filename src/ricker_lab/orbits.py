@@ -10,7 +10,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._roots import bisect
-from .constant import solve_equilibrium
+from .constant import _r1, solve_equilibrium
 from .errors import NoCrossing, OrbitOverflow
 from .model import ModelParams
 from .periodic import solve_two_cycle
@@ -171,12 +171,27 @@ def neimark_sacker_scan(
     """Bracket and bisect the first unit-modulus crossing along a family.
 
     `family` maps the scan parameter s to model parameters; the scanned
-    quantity is the spectral radius of the equilibrium (p = 1) or composed
-    2-cycle Jacobian (p = 2).  The first sign change on a `steps`-point grid
-    over s_lo < s_hi is bisected until it is no wider than `refine_width`;
-    `refine_width=0` bisects down to float resolution.  The grid is evaluated
-    in order and no point past the first sign change is evaluated.  Raises
-    NoCrossing when the radius stays on one side over the whole grid.
+    quantity is the sign of (spectral radius - 1) at the equilibrium (p = 1)
+    or of the composed 2-cycle Jacobian (p = 2).  The first sign change on a
+    `steps`-point grid over s_lo < s_hi is bisected until it is no wider than
+    `refine_width`; `refine_width=0` bisects down to float resolution.  The
+    grid is evaluated in order and no point past the first sign change is
+    evaluated.  Raises NoCrossing when the radius stays on one side over the
+    whole grid.  `modulus` and `argument` are read from the eigenvalues at
+    s_star.
+
+    For p = 1 the closed form decides the sign, with no equilibrium solve:
+    radius - 1 has the sign of r - r1(h), r1(h) = h + 1 - ln(h + 1).
+    - At the equilibrium y > max(r, h) (y = r at h = 0), Tr = 1 - h/y lies
+      in (0, 1] and Det = y - h > 0.
+    - A real pair then has both roots in (0, 1): their product Det is
+      positive and their sum Tr is at most 1.  A complex pair has
+      |lambda|^2 = Det.  A real pair has Det < 1, so radius >= 1 exactly
+      when Det >= 1.
+    - Det = y - h rises with r, since y does, and Det = 1 at y = h + 1,
+      where y - y e^{r-y} = h gives r = r1(h).
+    The sign is decided at each (r, h) on its own, so the argument holds
+    when h varies along s too.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -184,7 +199,10 @@ def neimark_sacker_scan(
         raise ValueError(f"scan range needs s_lo < s_hi, got [{s_lo}, {s_hi}]")
 
     def excess(s: float) -> float:
-        spectral = _modulus_at(family(s))
+        params = family(s)
+        if params.p == 1:
+            return params.r - _r1(params.stocking[0])
+        spectral = _modulus_at(params)
         if spectral is None:
             raise ValueError("scans support p = 1 and p = 2 only")
         return spectral[0] - 1.0

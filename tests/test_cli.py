@@ -87,6 +87,21 @@ def test_certify_periodic_json(capsys):
     assert payload["odd_range"] == pytest.approx([2.110, 3.306], abs=2e-3)
 
 
+def test_scan_ns_at_zero_stocking(capsys):
+    # r1(0) = 1 is a grid point, where the closed form reads exactly 0.0;
+    # thresholds() rejects h = 0, so the scan must not take r1 from it
+    code, out, _ = run(capsys, "scan-ns", "--h", "0", "--s-lo", "0.5", "--s-hi", "1.5", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "argument": 1.047197552573108, "complex_pair": True, "kind": "equilibrium",
+        "modulus": 1.0000000023841857, "s_hi": 1.01, "s_lo": 1.0, "s_star": 1.0000000047683715,
+    }
+    code, out, _ = run(capsys, "scan-ns", "--h", "0", "--s-lo", "0.5", "--s-hi", "1.5")
+    assert code == 0
+    assert out == ("crossing at s=1.00000000 (bracket [1.000000, 1.010000]) modulus=1.00000000 "
+                   "argument=1.047198 complex=True kind=equilibrium\n")
+
+
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "equilibrium", "--r", "-3", "--h", "1")
     assert code == 2 and "error:" in err

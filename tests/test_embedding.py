@@ -25,6 +25,7 @@ from ricker_lab.errors import (
     NotAFixedPoint,
     PreconditionViolated,
 )
+from ricker_lab.model import QuadPoint
 
 from _oracles import mp_equilibrium, strict_witness
 
@@ -222,6 +223,113 @@ def test_user_map_is_sampled_even_when_its_corner_orbits_stay_monotone():
     assert corner_iterate(G, BoxRegion(3.0, 6.0), monotone_samples=0).converged
     with pytest.raises(NonMonotoneDetected):
         corner_iterate(G, BoxRegion(3.0, 6.0))
+
+
+def _reference_corner_loop(G, box, tol=1e-12, max_iter=10**6, compatible=True):
+    """The corner loop as it read with se_leq and _sup_dist calls on every
+    step, kept as the reference for the inlined one; returns the Enclosure
+    corner_iterate builds from it."""
+    lower = QuadPoint(box.a, box.b, box.b, box.a)
+    upper = QuadPoint(box.b, box.a, box.a, box.b)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        new_lower = G(lower)
+        new_upper = G(upper)
+        if compatible:
+            if not (se_leq(lower, new_lower) and se_leq(new_upper, upper)):
+                raise NonMonotoneDetected(f"corner orbit lost monotonicity at iterate {iterations}")
+        if not se_leq(new_lower, new_upper):
+            raise NonMonotoneDetected(
+                f"corner orbits crossed at iterate {iterations}; map is not order preserving"
+            )
+        delta = max(embedding._sup_dist(lower, new_lower), embedding._sup_dist(upper, new_upper))
+        lower, upper = new_lower, new_upper
+        if delta < tol:
+            converged = True
+            break
+    return embedding.Enclosure(
+        lower=QuadPoint(*lower), upper=QuadPoint(*upper), converged=converged,
+        iterations=iterations, compatible=compatible,
+        residual_lower=embedding._sup_dist(G(lower), lower),
+        residual_upper=embedding._sup_dist(G(upper), upper),
+    )
+
+
+def _assert_same_corner_run(G, box, **kwargs):
+    """corner_iterate and the reference loop agree bit for bit: the same
+    Enclosure (repr tells -0.0 from 0.0), or the same error and message."""
+    compatible = box_compatible(G, box)
+    try:
+        expected = _reference_corner_loop(G, box, compatible=compatible, **kwargs)
+    except NonMonotoneDetected as ref:
+        with pytest.raises(NonMonotoneDetected) as exc:
+            corner_iterate(G, box, monotone_samples=0, require_compatible=False, **kwargs)
+        assert str(exc.value) == str(ref)
+        return str(ref)
+    enc = corner_iterate(G, box, monotone_samples=0, require_compatible=False, **kwargs)
+    assert repr(enc) == repr(expected)
+    return enc
+
+
+# max_iter caps the slow runs near r2(h), where the corner orbits converge
+# slowly; the capped ones must agree too
+@settings(max_examples=60, deadline=None, database=None)
+@given(r=st.floats(0.05, 4.0), gap=st.floats(0.01, 3.0), spread=st.floats(0.0, 3.0),
+       folded=st.booleans())
+def test_corner_loop_matches_the_reference_on_ricker_embeddings(r, gap, spread, folded):
+    params = ModelParams(r=r, stocking=(r + gap + spread, r + gap) if folded else (r + gap,))
+    target = max(params.stocking) + 1.0
+    box = compatible_box(params, target, target)
+    fs = planar_maps(params)
+    G = build_folded_embedding(fs[0], fs[-1]) if folded else build_embedding(fs[0])
+    _assert_same_corner_run(G, box, max_iter=3000)
+
+
+# a compatible box for each map: the kink makes the lower corner orbit step
+# back at iterate 2; the bump and the reflection make the corner orbits cross
+_USER_MAPS = {
+    "kink": (lambda x, y: ricker_map(2.0, 3.0)(x, y) - (2.0 if x > 3.6 and y < 3.8 else 0.0),
+             "corner orbit lost monotonicity at iterate 2"),
+    "bump": (lambda x, y: ricker_map(2.0, 3.0)(x, y) + (5.0 if 3.4 < x < 3.68 else 0.0),
+             "corner orbits crossed at iterate 14; map is not order preserving"),
+    "reflection": (lambda x, y: 6.0 - x * math.exp(2.0 - y) / 3.0,
+                   "corner orbits crossed at iterate 1; map is not order preserving"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_USER_MAPS))
+def test_corner_loop_matches_the_reference_where_user_maps_break_the_order(name):
+    F, message = _USER_MAPS[name]
+    G = build_embedding(F)
+    assert box_compatible(G, BoxRegion(3.0, 6.0))
+    assert _assert_same_corner_run(G, BoxRegion(3.0, 6.0)) == message
+
+
+@pytest.mark.parametrize("box", [
+    BoxRegion(3.0, 6.0), BoxRegion(2.5, 6.0), BoxRegion(2.3, 8.0), BoxRegion(YBAR_2_3, YBAR_2_3),
+])
+def test_corner_loop_matches_the_reference_on_array_valued_user_maps(box):
+    # a generic G: a user map returning numpy arrays, on compatible,
+    # incompatible and degenerate boxes, with and without a pseudo pair as
+    # the limit
+    F = build_embedding(ricker_map(2.0, 3.0 if box.a > 2.4 else 2.6))
+    G = lambda q: np.array(F(q))
+    enc = _assert_same_corner_run(G, box)
+    assert enc.converged
+
+
+@pytest.mark.parametrize("slow", range(4))
+@pytest.mark.parametrize("c", [3.5, 5.5])
+def test_corner_loop_matches_the_reference_when_one_coordinate_settles_last(slow, c):
+    # each coordinate contracts to c on its own, so G keeps the order; the
+    # slow coordinate of the corner farther from c settles last, so the stop
+    # step depends on that one of the eight distances
+    rates = [0.5, 0.6, 0.7, 0.8]
+    rates[slow] = 0.95
+    G = lambda q: tuple(c + k * (x - c) for k, x in zip(rates, q))
+    enc = _assert_same_corner_run(G, BoxRegion(3.0, 6.0))
+    assert enc.converged and enc.compatible
 
 
 _COORD = st.floats(0.0, 200.0)

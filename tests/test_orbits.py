@@ -4,9 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ricker_lab
 from ricker_lab import (
@@ -23,9 +24,10 @@ from ricker_lab import (
 )
 from ricker_lab import orbits
 from ricker_lab._roots import bisect
-from ricker_lab.errors import NoCrossing, OrbitOverflow
+from ricker_lab.constant import _r1
+from ricker_lab.errors import NoCrossing, OrbitOverflow, RickerLabError
 
-from _oracles import orbit_batch
+from _oracles import mp_equilibrium, orbit_batch
 
 YBAR_05_1 = 1.5436268955915372
 FOUR_CYCLE = (2.000000430394953, 6.478884800574986, 7.048851454005471, 19.611427242211448)
@@ -328,7 +330,7 @@ def _reference_ns_scan(family, s_lo, s_hi, steps=101, refine_width=1e-8):
             flo = vals[i]
             break
     else:
-        raise NoCrossing("no crossing")
+        raise NoCrossing(f"eigenvalue modulus stays on one side of 1 over [{s_lo}, {s_hi}]")
     s_star = bisect(lambda s: flo * excess(s) > 0.0, *bracket, width=refine_width)
     params = family(s_star)
     modulus, lead = orbits._modulus_at(params)
@@ -369,6 +371,106 @@ def test_ns_scan_matches_the_full_grid_and_stops_at_its_bracket(stocking, s_lo, 
     assert all(report.s_lo < s < report.s_hi for s in bisections)
     assert scanned[-1] == report.s_star
     assert len(scanned) <= i + 2 + len(bisections) + 1 < steps + len(bisections) + 1
+
+
+def _same_scan(family, s_lo, s_hi, steps=101):
+    """neimark_sacker_scan and the eigenvalue reference agree bit for bit:
+    the same report, or the same error and message."""
+    try:
+        expected = _reference_ns_scan(family, s_lo, s_hi, steps)
+    except RickerLabError as ref:
+        with pytest.raises(type(ref)) as exc:
+            neimark_sacker_scan(family, s_lo, s_hi, steps=steps)
+        assert str(exc.value) == str(ref)
+        return None
+    report = neimark_sacker_scan(family, s_lo, s_hi, steps=steps)
+    assert repr(report) == repr(expected)
+    return report
+
+
+def _mp_radius_minus_one_sign(r, h):
+    """sign(spectral radius - 1) at the equilibrium, from the 50-digit root:
+    the larger root of l^2 - Tr l + Det for a real pair, sqrt(Det) for a
+    complex one."""
+    with mp.workdps(60):
+        y, h = mp_equilibrium(r, h), mp.mpf(h)
+        tr, det = 1 - h / y, y - h
+        disc = tr * tr - 4 * det
+        radius = mp.sqrt(det) if disc < 0 else (tr + mp.sqrt(disc)) / 2
+        return int(mp.sign(radius - 1))
+
+
+# h = 0 or log-uniform on [1e-6, 1e8]; r on either side of r1(h), at least
+# 1e-12 of r1 away from it and up to 0.89 r1
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    h=st.one_of(st.just(0.0), st.floats(math.log(1e-6), math.log(1e8)).map(math.exp)),
+    side=st.sampled_from((-1.0, 1.0)),
+    offset=st.floats(-12.0, -0.05),
+)
+@example(h=0.0, side=-1.0, offset=-12.0)
+@example(h=1e8, side=1.0, offset=-12.0)
+def test_closed_form_sign_is_the_sign_of_radius_minus_one(h, side, offset):
+    r1 = _r1(h)
+    r = r1 * (1.0 + side * 10.0**offset)
+    assume(abs(r - r1) > 1e-12 * r1)
+    assert math.copysign(1.0, r - r1) == _mp_radius_minus_one_sign(r, h)
+
+
+def test_constant_scans_match_the_eigenvalue_reference():
+    # grids that miss r1 itself, where the reference's radius reads about
+    # 1e-16 from 1 and either sign can come out
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        h = 0.0 if rng.random() < 0.05 else float(np.exp(rng.uniform(math.log(1e-3), math.log(1e4))))
+        r1 = _r1(h)
+        s_lo, s_hi = r1 - float(rng.uniform(0.05, 0.5)), r1 + float(rng.uniform(0.05, 0.5))
+        steps = int(rng.integers(5, 200))
+        assert r1 not in np.linspace(s_lo, s_hi, steps).tolist()
+        report = _same_scan(lambda s: ModelParams.constant(s, h), s_lo, s_hi, steps)
+        assert abs(report.s_star - r1) <= 1e-8
+
+
+# families along which h moves with s: the closed form decides each point
+# at its own (r, h)
+_MOVING_H = [
+    (lambda s: ModelParams.constant(2.0, s), 0.5, 4.0),
+    (lambda s: ModelParams.constant(s, 0.5 * s), 0.5, 4.0),
+    (lambda s: ModelParams.constant(1.0 + 2.0 * s, math.exp(s)), 0.0, 3.0),
+    (lambda s: ModelParams.constant(3.0, 10.0 - s), 0.0, 9.5),
+]
+
+
+@pytest.mark.parametrize("k", range(len(_MOVING_H)))
+@pytest.mark.parametrize("steps", [7, 101])
+def test_scans_with_stocking_moving_along_s_match_the_reference(k, steps):
+    family, s_lo, s_hi = _MOVING_H[k]
+    report = _same_scan(family, s_lo, s_hi, steps)
+    params = family(report.s_star)
+    assert abs(params.r - _r1(params.stocking[0])) <= 1e-7
+
+
+def test_two_cycle_scans_match_the_reference():
+    rng = np.random.default_rng(19)
+    reports = [
+        _same_scan(lambda s, h=tuple(rng.uniform(0.3, 3.0, 2)): ModelParams(r=s, stocking=h), 0.5, 3.5,
+                   int(rng.integers(5, 60)))
+        for _ in range(12)
+    ]
+    assert any(rep is not None and rep.kind == "two-cycle" for rep in reports)
+
+
+def test_ns_scan_with_a_grid_point_on_r1():
+    # the grid centred on r1 lands on it exactly, so the closed form reads
+    # 0.0 there and the scan brackets from that point
+    h, width = 2.5232434852593286, 1e-8
+    r1 = thresholds(h).r1
+    grid = np.linspace(r1 - 0.25, r1 + 0.25, 101).tolist()
+    assert grid[50] == r1
+    report = neimark_sacker_scan(lambda s: ModelParams.constant(s, h), r1 - 0.25, r1 + 0.25,
+                                 refine_width=width)
+    assert (report.s_lo, report.s_hi) == (r1, grid[51])
+    assert abs(report.s_star - r1) <= width
 
 
 def test_ns_scan_without_a_crossing_evaluates_every_point():

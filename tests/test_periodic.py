@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -19,7 +20,7 @@ from ricker_lab import (
 from ricker_lab import periodic
 from ricker_lab._roots import bisect, newton_2d
 from ricker_lab.embedding import build_folded_embedding
-from ricker_lab.errors import NonConvergence
+from ricker_lab.errors import ContradictionDetected, NonConvergence
 from ricker_lab.model import QuadPoint, planar_maps
 from ricker_lab.periodic import (
     RULE_CYCLE_LAS,
@@ -539,6 +540,22 @@ def test_corollary_shortcuts():
     params3 = ModelParams(r=0.5, stocking=(1.0, 2.0))
     rep3 = solve_two_cycle(params3)
     assert RULE_DET_BELOW_ONE in corollary_shortcuts(rep3, params3)
+
+
+# A report that disagrees with itself trips each rule's cross-check.  The base
+# cycle of (1, 2, 1.5) fires rules 1 and 2 with det < 1 and a LAS verdict.
+@pytest.mark.parametrize("changes, message", [
+    ({"det": 1.5}, "r=1.0 <= 1 but det=1.5 is not below 1"),
+    ({"local_verdict": LocalVerdict.UNSTABLE}, "shortcut predicts a stable 2-cycle but Jury says unstable"),
+    ({"z0": 10.0, "z1": 10.0}, "shortcut predicts an unstable 2-cycle but Jury says stable"),
+], ids=["rule 1", "rule 2", "rule 3"])
+def test_corollary_shortcuts_raise_on_an_inconsistent_report(changes, message):
+    params = params_of((1.0, 2.0, 1.5))
+    rep = solve_two_cycle(params)
+    assert corollary_shortcuts(rep, params) == [RULE_DET_BELOW_ONE, RULE_CYCLE_LAS]
+    with pytest.raises(ContradictionDetected) as exc:
+        corollary_shortcuts(dataclasses.replace(rep, **changes), params)
+    assert str(exc.value) == message
 
 
 def test_unstable_cycle_with_small_determinant_is_possible():
