@@ -32,8 +32,8 @@ from .model import ModelParams
 from .orbits import neimark_sacker_scan, simulate
 from .periodic import (
     TwoCycleReport,
-    _certify_cells,
     _scan_chunk,
+    _sweep_tags,
     certify_periodic,
     find_artificial_cycles,
     solve_two_cycle,
@@ -253,9 +253,8 @@ def _sweep_periodic_rows(r: float, h0_vals: np.ndarray, h1_vals: np.ndarray, art
     waiting: list[tuple[int, ModelParams, TwoCycleReport]] = []  # (row index, params, 2-cycle)
 
     def certify_waiting() -> None:
-        verdicts = _certify_cells([(params, report) for _, params, report in waiting], art_grid)
-        for (i, params, report), verdict in zip(waiting, verdicts):
-            tag = verdict.tag
+        tags = _sweep_tags([(params, report) for _, params, report in waiting], art_grid)
+        for (i, params, report), tag in zip(waiting, tags):
             note = '"min(h0,h1) < r"' if tag is VerdictTag.NOT_APPLICABLE else f"art-grid={art_grid}"
             rows[i] = _sweep_periodic_row(*params.stocking, r, tag, report.z0, report.z1, note)
         waiting.clear()

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -543,6 +544,44 @@ def test_periodic_sweep_rows_match_single_cell_certification(capsys):
     assert rows[0] == "h0,h1,r,verdict,z0,z1,notes" and len(rows) == 1601
     for row, (h0, h1) in zip(rows[1:], ((h0, h1) for h0 in axis for h1 in axis)):
         assert row == _single_cell_row(1.0, h0, h1, 128)
+
+
+_README_PERIODIC_SWEEP = ["sweep", "--mode", "periodic", "--r", "1",
+                          "--h0-lo", "0.3", "--h0-hi", "3", "--nh0", "40",
+                          "--h1-lo", "0.3", "--h1-hi", "3", "--nh1", "40", "--art-grid", "128"]
+# SHA-256 of the README's 40x40 periodic sweep as the full-bisection 2-cycle
+# solve, the three-exp seed search and a polish of every seed write it
+_README_PERIODIC_SHA256 = "8723d5ef99e2c73bdf6d2aaa288194185f67f064632963c6aa021fb1f227fd4c"
+
+
+def test_readme_periodic_sweep_is_byte_identical(tmp_path):
+    out_path = tmp_path / "pregions.csv"
+    assert main([*_README_PERIODIC_SWEEP, "--out", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == _README_PERIODIC_SHA256
+
+
+def test_periodic_sweep_stops_each_polish_at_the_first_artificial_cycle(capsys, monkeypatch):
+    # on the README plane the 174 AbsorbingBox cells need only their first
+    # artificial cycle, and the 638 GloballyStable ones every seed
+    polished = []
+    polish = periodic._newton_polish_artificial
+
+    def counting_polish(*args):
+        polished.append(args)
+        return polish(*args)
+
+    monkeypatch.setattr(periodic, "_newton_polish_artificial", counting_polish)
+    code, out, _ = run(capsys, *_README_PERIODIC_SWEEP)
+    assert code == 0
+    assert out.count(",AbsorbingBox,") == 174 and out.count(",GloballyStable,") == 638
+    assert len(polished) == 2179
+    polished.clear()
+    axis = np.linspace(0.3, 3.0, 40).tolist()
+    for h0 in axis:
+        for h1 in axis:
+            if h0 != h1 and min(h0, h1) >= 1.0:
+                periodic.find_artificial_cycles(ModelParams(r=1.0, stocking=(h0, h1)), 128)
+    assert len(polished) == 4694
 
 
 def test_failing_periodic_sweep_reports_its_first_failing_cell(capsys):

@@ -17,7 +17,7 @@ from ricker_lab import (
     find_artificial_cycles,
     solve_two_cycle,
 )
-from ricker_lab import periodic
+from ricker_lab import _roots, periodic
 from ricker_lab._roots import bisect, newton_2d
 from ricker_lab.embedding import build_folded_embedding
 from ricker_lab.errors import ContradictionDetected, NonConvergence
@@ -272,6 +272,119 @@ def test_two_cycle_matches_the_dense_scan_on_the_readme_plane():
         assert _solved_or_none(r, h0, h1) == roots[0], (h0, h1)
 
 
+def _full_bisection_two_cycle(r, h0, h1):
+    # the reference: the solve with every midpoint of the proven bracket
+    # evaluated, no Newton window; ("ok", z0, z1), or ("error", message)
+    x_max, y_max = _orbit_bounds(r, h0, h1)
+    residual = lambda z0: _reduced_residual(z0, r, h0, h1, y_max)
+    lo = math.nextafter(h1, math.inf)
+    hi = min(x_max, max(h1 + 2.0, r + math.log(y_max + 1.0) + 2.0))
+    if not residual(lo) < 0.0:
+        return ("error", f"no 2-cycle resolvable for r={r}, h=({h0}, {h1}): z0 - h1 lies below "
+                         f"the float resolution of h1={h1}")
+    if not residual(hi) > 0.0:
+        return ("error", f"2-cycle bracket failed for r={r}, h=({h0}, {h1}) at z0={hi}")
+    z0 = bisect(lambda t: residual(t) < 0.0, lo, hi)
+    z0, z1 = newton_2d(lambda z0, z1: _cycle_system(z0, z1, r, h0, h1), z0, _reduced_z1(z0, r, h1))
+    q1, q2 = _cycle_residuals(z0, z1, r, h0, h1)
+    if not max(abs(q1), abs(q2)) < 1e-10:
+        return ("error", f"2-cycle polish for r={r}, h=({h0}, {h1}) left residuals ({q1}, {q2})")
+    if not (z0 > h1 and z1 > h0):
+        return ("error", f"no 2-cycle resolvable for r={r}, h=({h0}, {h1}): the solved pair ({z0}, {z1}) "
+                         "is not above (h1, h0), so z0 - h1 or z1 - h0 lies below the float resolution")
+    if (h0 - h1) * (z1 - z0) < 0.0 and abs(z1 - z0) > math.ulp(max(z0, z1)):
+        return ("error", f"solved pair ({z0}, {z1}) violates the stocking/phase ordering law")
+    return ("ok", z0, z1)
+
+
+def _windowed_two_cycle(r, h0, h1):
+    try:
+        rep = solve_two_cycle(ModelParams(r=r, stocking=(h0, h1)))
+    except NonConvergence as exc:
+        return ("error", str(exc))
+    return ("ok", rep.z0, rep.z1)
+
+
+def _readme_plane():
+    axis = np.linspace(0.3, 3.0, 40).tolist()
+    return [(1.0, a, b) for a in axis for b in axis if a != b]
+
+
+def _log_uniform_points(n, seed):
+    # r log-uniform on [0.005, 50], h0 and h1 log-uniform on [1e-7, 100]
+    rng = np.random.default_rng(seed)
+    r = np.exp(rng.uniform(math.log(0.005), math.log(50.0), n))
+    h = np.exp(rng.uniform(math.log(1e-7), math.log(100.0), (n, 2)))
+    return [(float(a), float(b), float(c)) for a, (b, c) in zip(r, h) if b != c]
+
+
+@pytest.mark.parametrize("points", ["readme", "small r", "log-uniform"])
+def test_two_cycle_is_bit_identical_to_the_full_bisection(points):
+    # the Newton window leaves the bisection's float, the polished pair and
+    # each failure as they are without it, here at 5560 points
+    cases = {"readme": _readme_plane, "small r": lambda: SMALL_R_POINTS,
+             "log-uniform": lambda: _log_uniform_points(4000, 19)}[points]()
+    outcomes = set()
+    for r, h0, h1 in cases:
+        got = _windowed_two_cycle(r, h0, h1)
+        assert got == _full_bisection_two_cycle(r, h0, h1), (r, h0, h1)
+        outcomes.add(got[0])
+    assert outcomes == ({"ok", "error"} if points == "log-uniform" else {"ok"})
+
+
+def test_a_window_of_one_band_would_move_a_small_r_root(monkeypatch):
+    # the comparison above has teeth: with the window cut to one band
+    # half-width, where rounding still decides F's sign just outside it, the
+    # bisection stops on another float at one of SMALL_R_POINTS
+    monkeypatch.setattr(_roots, "_WINDOW_BANDS", 1.0)
+    moved = [p for p in SMALL_R_POINTS if _windowed_two_cycle(*p) != _full_bisection_two_cycle(*p)]
+    assert len(moved) >= 1
+
+
+def test_two_cycle_solve_evaluates_the_reduced_residual_about_17_times(monkeypatch):
+    # the full bisection takes 55 evaluations per solve on the README plane;
+    # Newton's steps count, as each evaluates F
+    calls = []
+    residual, step = periodic._reduced_residual, periodic._reduced_newton_step
+    monkeypatch.setattr(periodic, "_reduced_residual", lambda *a: calls.append(1) or residual(*a))
+    monkeypatch.setattr(periodic, "_reduced_newton_step", lambda *a: calls.append(1) or step(*a))
+    counts = []
+    for r, h0, h1 in _readme_plane():
+        calls.clear()
+        solve_two_cycle(ModelParams(r=r, stocking=(h0, h1)))
+        counts.append(len(calls))
+    assert np.median(counts) <= 18
+    assert max(counts) < 55
+
+
+def test_two_cycle_solve_at_large_r_takes_fewer_evaluations_than_the_full_bisection(monkeypatch):
+    # above r = 10, F grows like e^{z0} right of its root, and Newton from the
+    # bracket's midpoint crawls unless it halves the bracket instead; where it
+    # still does not settle, the sides it read narrow the bisection, so no
+    # solve evaluates F more often than the full bisection, Newton's steps
+    # included
+    calls = []
+    residual, step = periodic._reduced_residual, periodic._reduced_newton_step
+    counted = lambda *a: calls.append(1) or residual(*a)
+    monkeypatch.setattr(periodic, "_reduced_residual", counted)
+    monkeypatch.setattr(periodic, "_reduced_newton_step", lambda *a: calls.append(1) or step(*a))
+    monkeypatch.setitem(globals(), "_reduced_residual", counted)
+    pairs = []
+    for r, h0, h1 in _log_uniform_points(4000, 19):
+        if r <= 10.0:
+            continue
+        calls.clear()
+        if _windowed_two_cycle(r, h0, h1)[0] == "error":
+            continue
+        windowed = len(calls)
+        calls.clear()
+        _full_bisection_two_cycle(r, h0, h1)
+        pairs.append((windowed, len(calls)))
+    assert len(pairs) > 600
+    assert all(windowed < full for windowed, full in pairs)
+    assert np.median([windowed for windowed, _ in pairs]) <= 30
+
+
 @pytest.mark.parametrize("h0, h1", [(0.0, 3.4182591922630875e-71), (3.4182591922630875e-71, 0.0)])
 def test_ordering_law_allows_a_misorder_within_float_resolution(h0, h1):
     # the true pair differs by about 1e-71 and agrees with the law; the float
@@ -320,11 +433,12 @@ def test_artificial_residuals_match_plain_formula(key):
     x_max, y_max = _orbit_bounds(r, h0, h1)
     X = (h1 + np.geomspace(1e-9, x_max - h1, 257))[:, None]
     Y = (h0 + np.geomspace(1e-9, y_max - h0, 263))[None, :]
+    eX, eY = np.exp(r - X), np.exp(r - Y)
     P = X * np.exp(r - Y) + h0
     Q = Y * np.exp(r - X) + h1
     # the second surface is the first with the roles of (x, h1) and (y, h0) swapped
-    assert np.array_equal(_first_residual(X, Y, r, h0, h1), P * np.exp(r - Q) - X + h1)
-    assert np.array_equal(_first_residual(Y, X, r, h1, h0), Q * np.exp(r - P) - Y + h0)
+    assert np.array_equal(_first_residual(X, Y, eX, eY, r, h0, h1), P * np.exp(r - Q) - X + h1)
+    assert np.array_equal(_first_residual(Y, X, eY, eX, r, h1, h0), Q * np.exp(r - P) - Y + h0)
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -392,6 +506,80 @@ def test_batched_seed_cells_match_the_full_grid_per_cell(points, grid, shared_r)
     assert np.all(np.diff(got[:, 0]) >= 0)
     for c, (point, (xs, ys)) in enumerate(zip(points, axes)):
         assert np.array_equal(got[got[:, 0] == c, 1:], _dense_seed_cells(xs, ys, *point)), point
+
+
+def _three_exp_residual(X, Y, r, h0, h1):
+    # the reference: the first residual with all three exps taken on the
+    # points themselves, in the order `_first_residual` uses
+    P = X * np.exp(r - Y)
+    P += h0
+    Q = Y * np.exp(r - X)
+    Q += h1
+    R1 = np.subtract(r, Q)
+    np.exp(R1, out=R1)
+    R1 *= P
+    R1 -= X
+    R1 += h1
+    return R1
+
+
+def _three_exp_seed_cells(xs, ys, r, h0, h1):
+    # the reference: `_seed_cells` with each probe's exps taken on its own
+    # points instead of gathered from the lattice's
+    cells, rows = xs.shape
+    cols = ys.shape[1]
+    flat_xs, flat_ys = xs.ravel(), ys.ravel()
+    base = np.arange(0, cells * cols, cols)[:, None]
+    k = np.repeat(base, rows, axis=1)
+    n = cols
+    while n > 1:
+        half = n // 2
+        k += half * ~np.signbit(_three_exp_residual(xs, flat_ys[k + half], r, h0, h1))
+        n -= half
+    k += ~np.signbit(_three_exp_residual(xs, flat_ys[k], r, h0, h1))
+    k -= base
+    lo = np.maximum(np.minimum(k[:, :-1], k[:, 1:]) - 1, 0).ravel()
+    counts = np.maximum(np.minimum(np.maximum(k[:, :-1], k[:, 1:]), cols - 1).ravel() - lo, 0)
+    pairs = np.flatnonzero(counts)
+    nodes = counts[pairs] + 1
+    ends = np.cumsum(nodes)
+    S = np.repeat(pairs, nodes)
+    J = np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - nodes - lo[pairs], nodes)
+    C, I = np.divmod(S, rows - 1)
+    X = flat_xs[np.stack((S + C, S + C + 1))]
+    r, h0, h1 = (np.ravel(v)[C] if np.size(v) > 1 else v for v in (r, h0, h1))
+    s2 = np.signbit(_three_exp_residual(flat_ys[C * cols + J], X, r, h1, h0))
+    c00 = s2[0, :-1]
+    mixed = (s2[0, 1:] != c00) | (s2[1, :-1] != c00) | (s2[1, 1:] != c00)
+    mixed[ends[:-1] - 1] = False
+    keep = np.flatnonzero(mixed)
+    return np.column_stack((C[keep], I[keep], J[keep]))
+
+
+def _seed_chunks(points, grid, chunk, search):
+    # `search` run on `points` a chunk at a time, each chunk's (cell, i, j)
+    # rows renumbered to the cell's place among all the points
+    found = []
+    for start in range(0, len(points), chunk):
+        batch = points[start:start + chunk]
+        axes = [_scan_axes(*point, grid) for point in batch]
+        r, h0, h1 = (np.array(v)[:, None] for v in zip(*batch))
+        cells = search(np.stack([xs for xs, _ in axes]), np.stack([ys for _, ys in axes]), r, h0, h1)
+        found.append(cells + [start, 0, 0])
+    return np.concatenate(found)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(points=st.lists(st.one_of(_UNIFORM_POINTS, _LOG_POINTS), min_size=1, max_size=12),
+       grid=st.one_of(st.sampled_from((2, 3, 128, 1024)), st.integers(2, 1024)),
+       chunk=st.integers(1, 12))
+def test_seed_cells_are_bit_identical_to_the_three_exp_search(points, grid, chunk):
+    # the exps of the lattice taken once and gathered leave every seed as it
+    # was with three exps per probe, at any chunk size, and a chunk seeds each
+    # cell as the cell alone does
+    got = _seed_chunks(points, grid, chunk, _seed_cells)
+    assert np.array_equal(got, _seed_chunks(points, grid, chunk, _three_exp_seed_cells))
+    assert np.array_equal(got, _seed_chunks(points, grid, 1, _seed_cells))
 
 
 def test_seed_cells_match_the_full_grid_on_the_readme_plane():
