@@ -74,9 +74,10 @@ def newton_window(
     while that is still an end of the bracket goes to the float next to it,
     so a root within rounding of an end is reached at once.  Newton settles
     where the step, |value| / slope, is within the band where rounding
-    decides the sign, of half-width max(error / slope, ulp).  The window
-    then reaches `_WINDOW_BANDS` band half-widths to either side, cut at lo
-    and hi, and `below` is called at its two ends.  Where both checks hold
+    decides the sign, of half-width max(error / slope, ulp), unless that
+    overflows, as for a subnormal slope.  The window then reaches
+    `_WINDOW_BANDS` band half-widths to either side, cut at lo and hi, and
+    `below` is called at its two ends.  Where both checks hold
     the window is returned; where one fails, or Newton does not settle
     within `_NEWTON_STEPS` steps, the bracket (a, b) is, so the bisection
     still skips every midpoint outside the part Newton has not ruled out.
@@ -92,7 +93,7 @@ def newton_window(
             b = t
         if slope > 0.0 and math.isfinite(slope):
             band = max(noise / slope, math.ulp(t))
-            if abs(f) <= slope * band:
+            if band < math.inf and abs(f) <= slope * band:
                 w = _WINDOW_BANDS * band
                 ta, tb = max(t - w, lo), min(t + w, hi)
                 if (ta == lo or below(ta)) and (tb == hi or not below(tb)):

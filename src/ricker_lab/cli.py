@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,6 @@ from .errors import RickerLabError
 from .model import ModelParams
 from .orbits import neimark_sacker_scan, simulate
 from .periodic import (
-    TwoCycleReport,
-    _scan_chunk,
     _sweep_tags,
     certify_periodic,
     find_artificial_cycles,
@@ -234,51 +233,30 @@ def _sweep_constant_row(h: float, ts: ThresholdSet, r_cells: list[tuple[float, s
     return rows
 
 
-def _sweep_periodic_row(h0: float, h1: float, r: float, tag: VerdictTag, z0: float, z1: float, note: str) -> str:
-    return f"{_fmt(h0)},{_fmt(h1)},{_fmt(r)},{tag.value},{_fmt(z0)},{_fmt(z1)},{note}"
-
-
-def _sweep_periodic_rows(r: float, h0_vals: np.ndarray, h1_vals: np.ndarray, art_grid: int) -> list[str]:
+def _sweep_periodic_rows(r: float, h0_vals: np.ndarray, h1_vals: np.ndarray, art_grid: int) -> Iterator[str]:
     """The periodic sweep's rows, in grid order.
 
-    Each cell solves its 2-cycle once, as its turn comes.  Cells with
-    h0 != h1 then wait until `_scan_chunk(art_grid)` of them have gathered
-    and are certified together, with one artificial-cycle scan for those
-    that need it, so the scan's memory is bounded by one chunk however large
-    the sweep.  A cell that fails certifies the waiting cells first, so the
-    error reported is that of the first failing cell in grid order.
+    Each cell is solved as `_sweep_tags` takes it, its equilibrium where
+    h0 == h1 and its 2-cycle otherwise, and certified as its chunk comes
+    due, so the scan's memory is bounded by one chunk however large the
+    sweep, and the error raised is that of the first failing cell in grid
+    order.
     """
-    chunk = _scan_chunk(art_grid)
-    rows: list[str | None] = []
-    waiting: list[tuple[int, ModelParams, TwoCycleReport]] = []  # (row index, params, 2-cycle)
+    h0s, h1s = h0_vals.tolist(), h1_vals.tolist()
 
-    def certify_waiting() -> None:
-        tags = _sweep_tags([(params, report) for _, params, report in waiting], art_grid)
-        for (i, params, report), tag in zip(waiting, tags):
+    def cells():
+        for h0, h1 in itertools.product(h0s, h1s):
+            params = ModelParams(r=r, stocking=(h0, h1))
+            yield params, solve_two_cycle(params) if params.p == 2 else solve_equilibrium(params)
+
+    for (h0, h1), (params, report, tag) in zip(itertools.product(h0s, h1s), _sweep_tags(cells(), art_grid)):
+        if params.p == 1:
+            z0 = z1 = report.y_bar
+            note = "degenerate: h0 == h1"
+        else:
+            z0, z1 = report.z0, report.z1
             note = '"min(h0,h1) < r"' if tag is VerdictTag.NOT_APPLICABLE else f"art-grid={art_grid}"
-            rows[i] = _sweep_periodic_row(*params.stocking, r, tag, report.z0, report.z1, note)
-        waiting.clear()
-
-    for h0 in h0_vals.tolist():
-        for h1 in h1_vals.tolist():
-            try:
-                if h0 == h1:
-                    y = solve_equilibrium(ModelParams.constant(r, h0)).y_bar
-                    rows.append(_sweep_periodic_row(
-                        h0, h1, r, VerdictTag.NOT_APPLICABLE, y, y, "degenerate: h0 == h1"
-                    ))
-                    continue
-                params = ModelParams(r=r, stocking=(h0, h1))
-                report = solve_two_cycle(params)
-            except Exception:
-                certify_waiting()
-                raise
-            waiting.append((len(rows), params, report))
-            rows.append(None)
-            if len(waiting) == chunk:
-                certify_waiting()
-    certify_waiting()
-    return rows
+        yield f"{_fmt(h0)},{_fmt(h1)},{_fmt(r)},{tag.value},{_fmt(z0)},{_fmt(z1)},{note}"
 
 
 # sweep mode -> the options it requires and the one it also takes; a mode

@@ -195,8 +195,9 @@ def neimark_sacker_scan(
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    if not s_lo < s_hi:
-        raise ValueError(f"scan range needs s_lo < s_hi, got [{s_lo}, {s_hi}]")
+    # one positive condition, so that NaN and inf bounds fail it
+    if not -math.inf < s_lo < s_hi < math.inf:
+        raise ValueError(f"scan range needs finite s_lo < s_hi, got [{s_lo}, {s_hi}]")
 
     def excess(s: float) -> float:
         params = family(s)

@@ -9,7 +9,7 @@ on z0 and the odd-indexed terms on z1, where
 The composed two-step Jacobian has Det = (z1 - h0)(z0 - h1) and
 Tr = (h1 - z0) + (h0 - z1) + (1 - h0/z1)(1 - h1/z0), so Jury's test decides
 local stability.  Global stability is certified by embedding: if both
-stocking values exceed r and the folded embedded map has no fixed points
+stocking values are at least r and the folded embedded map has no fixed points
 besides the one seeded by the 2-cycle, the 2-cycle attracts globally;
 otherwise the extra (artificial) fixed points bound the even and odd tails.
 """
@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._roots import bisect, newton_2d, newton_window
-from .embedding import _compatibility_curves, build_folded_embedding, compatible_box
+from .embedding import BoxRegion, _compatibility_curves, build_folded_embedding, compatible_box
 from .errors import ContradictionDetected, NonConvergence, PreconditionViolated
 from .model import ModelParams, QuadPoint, planar_maps
 from .verdicts import (
@@ -332,6 +332,12 @@ def _first_residual(X, Y, eX, eY, r: float, h0: float, h1: float):
     return R1
 
 
+# Where min(h0, h1) < r, e^{r-x} and e^{r-y} exceed 1, and for large r the
+# products P, Q and P e^{r-Q} can pass the float range.  Their true values
+# are positive, so the inf each overflows to keeps its sign, and so does
+# R1 = inf - X + h1: signbit reads the sign of the true residual, as the band
+# search needs.  Only the warning is silenced; every value is unchanged.
+@np.errstate(over="ignore")
 def _seed_cells(xs: np.ndarray, ys: np.ndarray, r, h0, h1) -> np.ndarray:
     """The (cell, i, j) indices of the lattice cells xs[cell] x ys[cell]
     across which both residual surfaces change sign, for many scans at once.
@@ -462,7 +468,7 @@ def _scan_seeds(schedules: list[ModelParams], grid: int) -> list[tuple[Iterator,
     (see `_seed_cells`).
 
     The search holds a few arrays of cells x grid elements, so a caller with
-    many cells hands them over in chunks of `_scan_chunk(grid)`.
+    many cells hands them over in chunks (see `_sweep_tags`).
     """
     if not schedules:
         return []
@@ -532,15 +538,44 @@ _PROV_NA2 = "min(h0,h1) < r: no compatible box, embedding inapplicable"
 
 
 def _certifiable(params: ModelParams) -> bool:
-    """Whether certification runs the artificial-cycle scan: min(h0, h1) >= r."""
-    return not min(params.stocking) < params.r
+    """Whether certification runs the artificial-cycle scan: a 2-periodic
+    schedule with min(h0, h1) >= r."""
+    return params.p == 2 and not min(params.stocking) < params.r
+
+
+def _witness_box(params: ModelParams, report: TwoCycleReport) -> BoxRegion | None:
+    """The witness box around the 2-cycle `report` of a certifiable params,
+    or None where min(h0, h1) = r to float resolution (see `compatible_box`).
+
+    Certification builds it before any scan, because past it nothing
+    raises, given that `report` is the solved 2-cycle of params and the
+    scan's grid is at least 2:
+    - The seed search takes the trapping bounds the solve already took, and
+      the log10 of x_max - h1 and y_max - h0.  In reals each difference is
+      at least e^{2r} > 1, so in floats it is positive unless h1 (or h0) is
+      at least 2^53.  There z0 > h1 in floats puts z0 at least 2 above h1,
+      e^{r-z0} underflows to 0 (r is below 355, or the bounds would have
+      overflowed), and the first cycle residual
+      z1 e^{r-z0} + h1 - z0 could not have passed the solve's check;
+      likewise for h0 with z1.
+    - With min(h0, h1) >= r every lattice point has x >= h1 >= r and
+      y >= h0 >= r, and so does every admitted root, with x > h1 and y > h0.
+      Then P = x e^{r-y} + h0 >= r and Q = y e^{r-x} + h1 >= r, and the
+      fixed-point check's coordinates and images are each at least r.  So
+      each e^{r-.} that the seed search, the polish and the fixed-point
+      check evaluate is at most 1, and each value stays finite.
+    - `newton_2d` catches the overflow of its trial steps, and the polish
+      re-evaluates only the point it accepted.
+    """
+    return compatible_box(params, min(report.z0, report.z1), max(report.z0, report.z1))
 
 
 def _periodic_verdict(
-    params: ModelParams, report: TwoCycleReport, art: ArtificialCycleSet | None, grid: int
+    report: TwoCycleReport, box: BoxRegion | None, art: ArtificialCycleSet | None, grid: int
 ) -> ClassificationVerdict:
-    """The verdict from the 2-cycle and `art`, the artificial-cycle scan's
-    result, or None for a cell that is not certifiable."""
+    """The verdict from the 2-cycle, its witness `box` and `art`, the
+    artificial-cycle scan's result, or None for a cell that is not
+    certifiable."""
     if art is None:
         return ClassificationVerdict(
             tag=VerdictTag.NOT_APPLICABLE,
@@ -548,7 +583,6 @@ def _periodic_verdict(
             note="certification unavailable; Jury verdict of the 2-cycle attached",
             local=report.local_verdict,
         )
-    box = compatible_box(params, min(report.z0, report.z1), max(report.z0, report.z1))
     witness = None if box is None else (box.a, box.b)
     scan_note = f"uniqueness established at scan resolution {grid}x{grid}"
     if box is None:
@@ -582,18 +616,21 @@ def certify_periodic(
 ) -> ClassificationVerdict:
     """Classify the long-run behavior under 2-periodic stocking.
 
-    GloballyStable(2-cycle) when both stocking values exceed r and the
-    artificial-cycle scan finds nothing; AbsorbingBox with even-term range
-    [min(x,u), max(x,u)] and odd-term range [min(v,y), max(v,y)] when
-    artificial cycles exist; NotApplicable when min(h0, h1) < r.  The Jury
-    verdict of the 2-cycle is carried alongside either way.  `cycle` is the
-    solved 2-cycle of params, for a caller that already has it; it is solved
-    here otherwise, with the same verdict.
+    GloballyStable(2-cycle) when min(h0, h1) >= r and the artificial-cycle
+    scan finds nothing; AbsorbingBox with even-term range [min(x,u),
+    max(x,u)] and odd-term range [min(v,y), max(v,y)] when artificial
+    cycles exist; NotApplicable when min(h0, h1) < r.  The Jury verdict of
+    the 2-cycle is carried alongside either way.  The witness box is built
+    before the scan (see `_witness_box`).  `cycle` is the solved 2-cycle of
+    params, for a caller that already has it; it is solved here otherwise,
+    with the same verdict.
     """
     report = solve_two_cycle(params) if cycle is None else cycle
     _require_two_periodic(params)
-    art = find_artificial_cycles(params, grid, cycle=report) if _certifiable(params) else None
-    return _periodic_verdict(params, report, art, grid)
+    if not _certifiable(params):
+        return _periodic_verdict(report, None, None, grid)
+    box = _witness_box(params, report)
+    return _periodic_verdict(report, box, find_artificial_cycles(params, grid, cycle=report), grid)
 
 
 # cells x grid elements of one batched artificial-cycle scan: 16 cells at
@@ -603,33 +640,41 @@ def certify_periodic(
 _SCAN_ELEMENTS = 2048
 
 
-def _scan_chunk(grid: int) -> int:
-    """How many cells `_sweep_tags` should take at once at this grid."""
-    return max(1, _SCAN_ELEMENTS // grid)
+def _sweep_tags(cells: Iterable[tuple], grid: int) -> Iterator[tuple[ModelParams, object, VerdictTag]]:
+    """(params, report, tag) for each (params, report) pair of `cells`, in
+    order, the tag being that of `certify_periodic(params, grid,
+    cycle=report)`.  A cell that is not certifiable, such as a constant one
+    with its equilibrium report, passes through as NotApplicable.
 
-
-def _sweep_tags(cells: list[tuple[ModelParams, TwoCycleReport]], grid: int) -> list[VerdictTag]:
-    """The tag of `certify_periodic(params, grid, cycle=cycle)` for each
-    (params, cycle) pair, in order, with one seed search for all the
-    certifiable ones.  Its memory grows with their number times the grid, so
-    a sweep hands it chunks of `_scan_chunk(grid)` cells.
+    Cells are taken one at a time, and each certifiable one builds its
+    witness box as it is taken, so a failure, in taking a cell or in its
+    box, comes in cell order.  Every max(1, 2048 // grid) cells taken share
+    one seed search, whose memory is bounded by that chunk however many
+    cells follow.  Past the box nothing raises (see `_witness_box`), so the
+    chunk's tags follow in order.
 
     A sweep row prints only the tag, so each certifiable cell's scan stops at
     its first artificial cycle, and the verdict is taken from a set holding
     that cycle or none.  The roots come in seed order rather than sorted, but
     they are the same roots, each deduplicated against the same earlier ones,
     so the set is empty exactly when `find_artificial_cycles` finds nothing,
-    and `_periodic_verdict` gives the same tag, or raises where its witness
-    box fails, in grid order.
+    and `_periodic_verdict` gives the same tag.
     """
-    scans = iter(_scan_seeds([params for params, _ in cells if _certifiable(params)], grid))
-    tags = []
-    for params, cycle in cells:
-        art = None
-        if _certifiable(params):
-            seeds, x_max, y_max = next(scans)
-            roots = _artificial_roots(seeds, params.r, *params.stocking, x_max, y_max)
-            first = tuple(itertools.islice(_artificial_quads(params, cycle, roots), 1))
-            art = ArtificialCycleSet(cycles=first, count=len(first), grid=grid, x_max=x_max, y_max=y_max)
-        tags.append(_periodic_verdict(params, cycle, art, grid).tag)
-    return tags
+    cells = iter(cells)
+    chunk = max(1, _SCAN_ELEMENTS // grid)
+    while True:
+        batch = []  # (params, report, certifiable, box)
+        for params, report in itertools.islice(cells, chunk):
+            certifiable = _certifiable(params)
+            batch.append((params, report, certifiable, _witness_box(params, report) if certifiable else None))
+        if not batch:
+            return
+        scans = iter(_scan_seeds([params for params, _, certifiable, _ in batch if certifiable], grid))
+        for params, report, certifiable, box in batch:
+            art = None
+            if certifiable:
+                seeds, x_max, y_max = next(scans)
+                roots = _artificial_roots(seeds, params.r, *params.stocking, x_max, y_max)
+                first = tuple(itertools.islice(_artificial_quads(params, report, roots), 1))
+                art = ArtificialCycleSet(cycles=first, count=len(first), grid=grid, x_max=x_max, y_max=y_max)
+            yield params, report, _periodic_verdict(report, box, art, grid).tag

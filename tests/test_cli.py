@@ -620,6 +620,32 @@ def test_sweep_failure_order_spans_waiting_cells(capsys, monkeypatch, cert_fails
     assert err == f"numeric failure: {first} {min(cert_fails, solve_fails)}\n"
 
 
+@pytest.mark.parametrize("eq_fails, cert_fails", [((2.0,), (1.5, 2.0)), ((1.5,), (2.0, 1.5))])
+def test_sweep_failure_order_spans_degenerate_cells(capsys, monkeypatch, eq_fails, cert_fails):
+    # a diagonal cell whose equilibrium solve fails fails after an earlier
+    # periodic cell whose witness box fails, and before a later one
+    solve, build = cli.solve_equilibrium, periodic.compatible_box
+
+    def failing_solve(params):
+        if params.stocking == eq_fails:
+            raise NonConvergence(f"equilibrium failed at {params.stocking}")
+        return solve(params)
+
+    def failing_build(params, lo, hi):
+        if params.stocking == cert_fails:
+            raise WitnessConstructionFailed(f"no box at {params.stocking}")
+        return build(params, lo, hi)
+
+    monkeypatch.setattr(cli, "solve_equilibrium", failing_solve)
+    monkeypatch.setattr(periodic, "compatible_box", failing_build)
+    code, out, err = run(capsys, "sweep", "--mode", "periodic", "--r", "1",
+                         "--h0-lo", "1.5", "--h0-hi", "2", "--nh0", "2",
+                         "--h1-lo", "1.5", "--h1-hi", "2", "--nh1", "2")
+    assert code == 3 and out == ""
+    first = f"no box at {cert_fails}" if cert_fails[0] < eq_fails[0] else f"equilibrium failed at {eq_fails}"
+    assert err == f"numeric failure: {first}\n"
+
+
 # one chunk of cells at a time: two full 1024x1024 surfaces per cell would
 # take 24 MiB, and the README plane certified as one batch peaks at about 25 MiB
 @pytest.mark.parametrize("n, art_grid", [(40, 128), (20, 1024)])
@@ -803,6 +829,23 @@ def test_scan_ns_stops_at_its_first_bracket(capsys):
     payload = json.loads(out)
     assert (payload["s_lo"], payload["s_hi"]) == (0.5, 100.375)
     assert payload["kind"] == "two-cycle"
+
+
+# `--s-hi inf` used to print numpy's invalid-value warning from np.linspace
+# and then fail on a NaN growth rate; the suite turns that warning into an error
+@pytest.mark.parametrize("s_lo, s_hi", [("0.5", "inf"), ("-inf", "1.5")])
+def test_scan_ns_rejects_an_infinite_bound(capsys, s_lo, s_hi):
+    code, out, err = run(capsys, "scan-ns", "--h", "1", f"--s-lo={s_lo}", f"--s-hi={s_hi}")
+    assert code == 2 and out == ""
+    assert err == f"error: scan range needs finite s_lo < s_hi, got [{float(s_lo)}, {float(s_hi)}]\n"
+
+
+# with min(h0, h1) < r and r large the residual surfaces pass the float
+# range; the overflow used to print three numpy warnings before count=0
+def test_artificial_cycles_past_the_float_range_print_no_warning(capsys):
+    code, out, err = run(capsys, "artificial-cycles", "--r", "343.60143948463394",
+                         "--h0", "0.25989454401361883", "--h1", "122.1385432530858", "--grid", "16")
+    assert (code, out, err) == (0, "count=0 (scan 16x16)\n", "")
 
 
 def test_scan_ns_rejects_h_with_the_pair(capsys):

@@ -190,6 +190,14 @@ def test_ns_scan_rejects_empty_range(s_lo, s_hi):
         neimark_sacker_scan(lambda s: ModelParams.constant(s, 1.0), s_lo, s_hi)
 
 
+# an infinite bound used to reach np.linspace, which warned of an invalid
+# value and handed the family a NaN growth rate
+@pytest.mark.parametrize("s_lo, s_hi", [(0.5, math.inf), (-math.inf, 1.5), (math.nan, 1.5), (0.5, math.nan)])
+def test_ns_scan_rejects_non_finite_bounds(s_lo, s_hi):
+    with pytest.raises(ValueError, match="finite s_lo < s_hi"):
+        neimark_sacker_scan(lambda s: ModelParams.constant(s, 1.0), s_lo, s_hi)
+
+
 def test_ns_scan_zero_width_stops_at_float_resolution():
     # run in a child process, so that a bisection that never ends fails
     # this test on its timeout instead of hanging the suite

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -20,7 +21,7 @@ from ricker_lab import (
 from ricker_lab import _roots, periodic
 from ricker_lab._roots import bisect, newton_2d
 from ricker_lab.embedding import build_folded_embedding
-from ricker_lab.errors import ContradictionDetected, NonConvergence
+from ricker_lab.errors import ContradictionDetected, NonConvergence, RickerLabError, WitnessConstructionFailed
 from ricker_lab.model import QuadPoint, planar_maps
 from ricker_lab.periodic import (
     RULE_CYCLE_LAS,
@@ -881,6 +882,67 @@ def test_residual_helper_zero_at_cycle():
     z0, z1 = CYCLES[(1.0, 2.0, 1.5)]
     q1, q2 = _cycle_residuals(z0, z1, 1.0, 2.0, 1.5)
     assert abs(q1) < 1e-10 and abs(q2) < 1e-10
+
+
+def test_certify_builds_the_witness_box_before_the_scan(monkeypatch):
+    def failing_build(params, lo, hi):
+        raise WitnessConstructionFailed("no box")
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan ran before the witness box")
+
+    monkeypatch.setattr(periodic, "compatible_box", failing_build)
+    monkeypatch.setattr(periodic, "find_artificial_cycles", no_scan)
+    monkeypatch.setattr(periodic, "_scan_seeds", no_scan)
+    params = params_of((1.0, 2.0, 1.5))
+    with pytest.raises(WitnessConstructionFailed):
+        certify_periodic(params, 128)
+    with pytest.raises(WitnessConstructionFailed):
+        next(periodic._sweep_tags([(params, solve_two_cycle(params))], 128))
+
+
+_OFFSET_ABOVE_R = st.floats(-12.0, 3.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(log_r=st.floats(math.log(0.01), math.log(350.0)),
+       offsets=st.tuples(st.one_of(st.just(0.0), _OFFSET_ABOVE_R), _OFFSET_ABOVE_R),
+       swap=st.booleans(), grid=st.integers(2, 256))
+def test_scan_raises_nothing_after_the_solve_and_the_box(log_r, offsets, swap, grid):
+    # `_witness_box` proves that nothing past the box raises where
+    # min(h0, h1) >= r; the seed search runs here without the errstate that
+    # silences the overflow of cells below r, so the suite's warning filter
+    # sees every float exception the proof rules out
+    r = math.exp(log_r)
+    h0, h1 = (r + offset for offset in (offsets[::-1] if swap else offsets))
+    assume(h0 != h1)
+    params = ModelParams(r=r, stocking=(h0, h1))
+    try:
+        report = solve_two_cycle(params)
+        periodic._witness_box(params, report)
+    except RickerLabError:
+        assume(False)
+    with mock.patch.object(periodic, "_seed_cells", periodic._seed_cells.__wrapped__):
+        [(_, _, tag)] = periodic._sweep_tags([(params, report)], grid)
+        art = find_artificial_cycles(params, grid, cycle=report)
+    assert tag is (VerdictTag.ABSORBING_BOX if art.count else VerdictTag.GLOBALLY_STABLE)
+
+
+@pytest.mark.parametrize("grid", [2, 128, 1024, 4096])
+def test_sweep_tags_take_at_most_one_chunk_before_the_first_tag(grid):
+    params = params_of((1.0, 2.0, 1.5))
+    report = solve_two_cycle(params)
+    taken = 0
+
+    def endless():
+        nonlocal taken
+        while True:
+            taken += 1
+            yield params, report
+
+    params_out, report_out, tag = next(periodic._sweep_tags(endless(), grid))
+    assert (params_out, report_out, tag) == (params, report, VerdictTag.GLOBALLY_STABLE)
+    assert taken <= max(1, 2048 // grid)
 
 
 # GloballyStable in both orientations, AbsorbingBox, NotApplicable and the
