@@ -35,7 +35,7 @@ from .errors import (
     PreconditionViolated,
     WitnessConstructionFailed,
 )
-from .model import ModelParams, PlanarMap, QuadPoint, RickerMap, planar_maps
+from .model import ModelParams, PlanarMap, QuadPoint, RickerMap
 
 QuadMap = Callable[[Sequence[float]], QuadPoint]
 
@@ -151,11 +151,13 @@ def compatible_box(params: ModelParams, lo: float, hi: float) -> BoxRegion | Non
     if not r < a < floor:
         return None
     b = min(2.0 * max(*_compatibility_curves(a, r, h[0], h[-1])[:len(h)], hi), sys.float_info.max)
-    q = QuadPoint(a, b, b, a)
     ok = hi < b
-    for F in planar_maps(params):
-        q = build_embedding(F)(q)
-        ok = ok and q.x > a and q.u < b
+    x, y, u, v = a, b, b, a
+    for hj in h:
+        # the embedded map of F_j(x, y) = x e^{r-y} + h_j, in the float
+        # arithmetic of `model.RickerMap`
+        x, y, u, v = x * math.exp(r - y) + hj, u, u * math.exp(r - v) + hj, x
+        ok = ok and x > a and u < b
     if ok:
         return BoxRegion(a, b)
     if math.exp(r - a) >= 1.0 - 4 * 2.0**-53:

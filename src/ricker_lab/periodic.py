@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import bisect, newton_2d, newton_window
+from ._roots import newton_2d
 from .embedding import BoxRegion, _compatibility_curves, build_folded_embedding, compatible_box
 from .errors import ContradictionDetected, NonConvergence, PreconditionViolated
 from .model import ModelParams, QuadPoint, planar_maps
@@ -95,15 +95,9 @@ def _geomspace(lo: float, hi: float | np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _cycle_system(z0: float, z1: float, r: float, h0: float, h1: float):
-    """The 2-cycle residuals and their Jacobian in (z0, z1)."""
-    f0 = math.exp(r - z0)
-    f1 = math.exp(r - z1)
-    return z1 * f0 + h1 - z0, z0 * f1 + h0 - z1, -z1 * f0 - 1.0, f0, f1, -z0 * f1 - 1.0
-
-
 def _cycle_residuals(z0: float, z1: float, r: float, h0: float, h1: float) -> tuple[float, float]:
-    return _cycle_system(z0, z1, r, h0, h1)[:2]
+    """The two 2-cycle equations, each as image minus point."""
+    return z1 * math.exp(r - z0) + h1 - z0, z0 * math.exp(r - z1) + h0 - z1
 
 
 def _reduced_z1(z0: float, r: float, h1: float) -> float:
@@ -121,32 +115,23 @@ def _reduced_residual(z0: float, r: float, h0: float, h1: float, y_max: float) -
     return z1 - h0 - z0 * math.exp(r - z1)
 
 
-def _reduced_newton_step(z0: float, r: float, h0: float, h1: float, y_max: float) -> tuple[float, float, float]:
-    """F(z0), F'(z0) and F's rounding error at z0, as `newton_window` takes them.
+def _offset_system(a: float, b: float, r: float, h0: float, h1: float):
+    """The 2-cycle equations E1, E2 in the log offsets a = log(z0 - h1) and
+    b = log(z1 - h0), with their Jacobian in (a, b) (see `solve_two_cycle`).
 
-    F is computed as `_reduced_residual` computes it, bit for bit, so its
-    sign is the one the bisection reads.  With d0 = z0 - h1 and
-    e^{z0 - r} = z1 / d0, the slope is
-
-        F'(z0) = e^{z0 - r} (1 + d0) (1 + z0 e^{r - z1}) - e^{r - z1},
-
-    which at a zero, where z0 e^{r - z1} = d1, is the closed form in
-    `solve_two_cycle`.  The error estimate carries the rounding of the
-    exponent log(d0) + z0 - r through z1 and e^{r - z1} and adds that of each
-    term.  Where z1 overflows or leaves ten times the trapping bound the
-    slope is NaN.
+    log(h0 + e^b) is taken as b + log1p(h0 e^{-b}) where e^b > h0, so that
+    E1 forms a - b in one subtraction, and as it reads where h0 >= e^b, where
+    that log1p would be about log h0 - b and cancel b instead; likewise for
+    E2.  Either way each equation carries the rounding of its smaller terms:
+    near the diagonal at small r and h, a and b are both about log r, while
+    every other term is about r.  e^{-a} or e^{-b} overflows only on a trial
+    step, which `newton_2d` then rejects.
     """
-    d0 = z0 - h1
-    s = math.log(d0) + z0 - r
-    z1 = math.exp(s) if s < 690.0 else math.inf
-    if not math.isfinite(z1) or z1 > 10.0 * y_max:
-        return 1e18, math.nan, 0.0
-    g = math.exp(r - z1)
-    z0g = z0 * g
-    slope = z1 / d0 * (1.0 + d0) * (1.0 + z0g) - g
-    z1_err = z1 * (3.0 + abs(s) + 2.0 * (z0 + abs(r)))
-    noise = 2.0**-52 * (z1_err * (1.0 + z0g) + h0 + z0g * (2.0 + abs(r) + z1))
-    return z1 - h0 - z0g, slope, noise
+    ea, eb = math.exp(a), math.exp(b)
+    w0, w1 = h0 * math.exp(-b), h1 * math.exp(-a)
+    t0 = a - b - math.log1p(w0) if w0 < 1.0 else a - math.log(h0 + eb)
+    t1 = b - a - math.log1p(w1) if w1 < 1.0 else b - math.log(h1 + ea)
+    return t0 + ea + h1 - r, t1 + eb + h0 - r, 1.0 + ea, -1.0 / (1.0 + w0), -1.0 / (1.0 + w1), 1.0 + eb
 
 
 def solve_two_cycle(params: ModelParams) -> TwoCycleReport:
@@ -166,31 +151,40 @@ def solve_two_cycle(params: ModelParams) -> TwoCycleReport:
     below hi = min(x_max, max(h1 + 2, r + log(y_max + 1) + 2)):
     z0 - h1 = h0 e^{r-z0} + z0 e^{-z0} e^{2r-z1} < h0 e^r + e^{2r}, so
     z0 < x_max, and likewise z1 < y_max, so for z0 >= r + log(y_max + 1) + 2
-    the offset z0 - h1 = z1 e^{r-z0} is below 1.  One bisection of F on
-    [nextafter(h1), hi] therefore finds the 2-cycle, and a damped Newton
-    polish of the 2D residuals refines it.
+    the offset z0 - h1 = z1 e^{r-z0} is below 1.  The solve checks F < 0 at
+    nextafter(h1) and F > 0 at hi in floats.  Where h1 is far above r, z0 - h1
+    can lie below the float resolution of h1; F is then already positive at
+    the lower end, and the solve raises NonConvergence.
 
-    The bisection halves that whole bracket down to adjacent floats, but it
-    evaluates F only inside a window that Newton's method on F finds first
-    (`newton_window`, from the bracket's midpoint, with the slope of
-    `_reduced_newton_step`): a few times the band where rounding decides F's
-    sign, with F < 0 checked at its lower end and F >= 0 at its upper end.
-    A midpoint at or below the window counts as below the root and one at or
-    above it as above, so the final pair is a checked sign change (the
-    argument is in `bisect`).  Where Newton does not settle or a check
-    fails, the window is the bracket Newton has narrowed.  The signs the
-    result rests on are read through `_reduced_residual`, or through
-    `_reduced_newton_step`, whose value is the same float, so the bisection
-    stops on the float it stops on without the window wherever F's float
-    sign is monotone outside the window.  On the README plane that takes a
-    median of 17 evaluations of F, Newton's included, in place of 55; above
-    r = 10, where Newton often halves the bracket instead, each of 664
-    log-uniform solves still took fewer than the full bisection.
+    The cycle is then solved in its log offsets a = log d0 and b = log d1.
+    The logs of d0 = z1 e^{r - z0} and d1 = z0 e^{r - z1} read
 
-    Where h1 is far above r, z0 - h1 can lie below the float resolution of
-    h1; F is then already positive at the lower end, and the solve raises
-    NonConvergence, as it does for a polished pair that fails the residual
-    check or is not above (h1, h0) in floats.
+        E1 = a + e^a + h1 - r - log(h0 + e^b) = 0,
+        E2 = b + e^b + h0 - r - log(h1 + e^a) = 0,
+
+    whose one root is the 2-cycle.  The Jacobian has diagonal 1 + e^a and
+    1 + e^b, both above 1, and off-diagonal -e^b / (h0 + e^b) and
+    -e^a / (h1 + e^a), both in (-1, 0].  It is strictly diagonally dominant,
+    and its determinant exceeds (1 + e^a)(1 + e^b) - 1 > 0, so no Newton
+    step meets a singular Jacobian.  Damped Newton (`newton_2d`) runs from
+    (a, b) = (0, 0).
+
+    One more Newton step (da, db) finishes, applied in z's own floats as
+    d0 (1 - da) and d1 (1 - db), exact to first order in steps this small.
+    Rounded into a instead, it would be lost: floats near a lie about
+    |a| 2^-52 apart, so e^a can only move by that much of itself, about |a|
+    ulps of z0 where h1 is small.  The step also carries the offsets past
+    newton_2d's stopping test, |E1| + |E2| < 1e-14 (1 + |a| + |b|), which
+    for a and b near log r lies far above their rounding.  A Newton polish
+    of the (z0, z1) residuals instead moved roots near the diagonal at small
+    r and h up to 15 ulps away from a 40-digit root: their Jacobian is
+    nearly singular there.  Where the determinant rounds to zero, which
+    needs e^a, e^b, h0 e^{-b} and h1 e^{-a} all below 2^-53, the step is
+    skipped and the residual check decides.
+
+    The solve raises NonConvergence where the pair fails the residual check
+    or is not above (h1, h0) in floats, and where it breaks the ordering law
+    by more than its float resolution.
     """
     r, h0, h1 = _require_two_periodic(params)
     x_max, y_max = _orbit_bounds(r, h0, h1)
@@ -204,10 +198,14 @@ def solve_two_cycle(params: ModelParams) -> TwoCycleReport:
         )
     if not residual(hi) > 0.0:
         raise NonConvergence(f"2-cycle bracket failed for r={r}, h=({h0}, {h1}) at z0={hi}")
-    below = lambda t: residual(t) < 0.0
-    step = lambda t: _reduced_newton_step(t, r, h0, h1, y_max)
-    z0 = bisect(below, lo, hi, known=newton_window(step, below, lo, hi, 0.5 * (lo + hi)))
-    z0, z1 = newton_2d(lambda z0, z1: _cycle_system(z0, z1, r, h0, h1), z0, _reduced_z1(z0, r, h1))
+    system = lambda a, b: _offset_system(a, b, r, h0, h1)
+    a, b = newton_2d(system, 0.0, 0.0)
+    e1, e2, j11, j12, j21, j22 = system(a, b)
+    det = j11 * j22 - j12 * j21
+    d0, d1 = math.exp(a), math.exp(b)
+    if det > 0.0:
+        d0, d1 = d0 - d0 * (e1 * j22 - e2 * j12) / det, d1 - d1 * (e2 * j11 - e1 * j21) / det
+    z0, z1 = h1 + d0, h0 + d1
     q1, q2 = _cycle_residuals(z0, z1, r, h0, h1)
     if not max(abs(q1), abs(q2)) < _RESIDUAL_TOL:
         raise NonConvergence(
@@ -532,7 +530,7 @@ def find_artificial_cycles(
 # ---------------------------------------------------------------------------
 
 
-_PROV_GS2 = "h0,h1 > r and the folded embedded map has a unique fixed point: 2-cycle attracts globally"
+_PROV_GS2 = "min(h0,h1) >= r and the folded embedded map has a unique fixed point: 2-cycle attracts globally"
 _PROV_BOX2 = "artificial cycles present: even/odd tails bounded by their coordinates"
 _PROV_NA2 = "min(h0,h1) < r: no compatible box, embedding inapplicable"
 

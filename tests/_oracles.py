@@ -87,6 +87,20 @@ def mp_two_cycle_near(r, h0, h1, z0) -> tuple[mp.mpf, mp.mpf]:
     return root, z1_of(root)
 
 
+def mp_two_cycle_offsets(r, h0, h1, z0, z1) -> tuple[mp.mpf, mp.mpf]:
+    """High-precision 2-cycle from mpmath's root finder on the cycle
+    equations in the log offsets a = log(z0 - h1), b = log(z1 - h0),
+
+        a + e^a + h1 - r - log(h0 + e^b) = 0,  b + e^b + h0 - r - log(h1 + e^a) = 0,
+
+    started at the float pair (z0, z1).  It stays well conditioned where
+    z0 - h1 lies far below h1, where the scalar reduction's slope is huge."""
+    r, h0, h1 = mp.mpf(r), mp.mpf(h0), mp.mpf(h1)
+    E = lambda a, b: [a + mp.e**a + h1 - r - mp.log(h0 + mp.e**b), b + mp.e**b + h0 - r - mp.log(h1 + mp.e**a)]
+    a, b = mp.findroot(E, (mp.log(mp.mpf(z0) - h1), mp.log(mp.mpf(z1) - h0)))
+    return h1 + mp.e**a, h0 + mp.e**b
+
+
 def orbit_batch(r: float, stocking, x0: np.ndarray, xm1: np.ndarray, n_steps: int,
                 keep_last: int = 0) -> np.ndarray:
     """Vectorized orbits for many initial conditions at once.

@@ -408,14 +408,23 @@ def test_periodic_cells_solve_their_two_cycle_once(capsys, monkeypatch):
     assert code == 0 and solved == [(2.0, 1.5)]
 
 
-# h1 = 3.4e-71 against h0 = 0: the float pair is an ulp apart and, for
-# h0 < h1, in the wrong order, which the ordering law takes as rounding
-@pytest.mark.parametrize("h0, h1", [("0", "3.4182591922630875e-71"), ("3.4182591922630875e-71", "0")])
+# h1 = 3.4e-71 against h0 = 0: both true values round to 0.5, which the law
+# does not order.  h0 and h1 an ulp apart at 0.22: the float pair is an ulp
+# apart and, for h0 < h1, in the wrong order, which the law takes as rounding
+MISORDER = {
+    ("0", "3.4182591922630875e-71"): {0.5},
+    ("3.4182591922630875e-71", "0"): {0.5},
+    ("0.2206983405753754", "0.22069834057537543"): {0.8155504602912972, 0.8155504602912973},
+    ("0.22069834057537543", "0.2206983405753754"): {0.8155504602912972, 0.8155504602912973},
+}
+
+
+@pytest.mark.parametrize("h0, h1", list(MISORDER))
 def test_two_cycle_misorder_within_float_resolution_is_not_a_failure(capsys, h0, h1):
     code, out, err = run(capsys, "two-cycle", "--r", "0.5", "--h0", h0, "--h1", h1, "--json")
     assert code == 0 and err == ""
     payload = json.loads(out)
-    assert {payload["z0"], payload["z1"]} == {0.5, 0.49999999999999994}
+    assert {payload["z0"], payload["z1"]} == MISORDER[h0, h1]
     assert payload["verdict"] == "LAS"
 
 
@@ -549,9 +558,9 @@ def test_periodic_sweep_rows_match_single_cell_certification(capsys):
 _README_PERIODIC_SWEEP = ["sweep", "--mode", "periodic", "--r", "1",
                           "--h0-lo", "0.3", "--h0-hi", "3", "--nh0", "40",
                           "--h1-lo", "0.3", "--h1-hi", "3", "--nh1", "40", "--art-grid", "128"]
-# SHA-256 of the README's 40x40 periodic sweep as the full-bisection 2-cycle
+# SHA-256 of the README's 40x40 periodic sweep as the log-offset 2-cycle
 # solve, the three-exp seed search and a polish of every seed write it
-_README_PERIODIC_SHA256 = "8723d5ef99e2c73bdf6d2aaa288194185f67f064632963c6aa021fb1f227fd4c"
+_README_PERIODIC_SHA256 = "c54dd2bcbcf2b47c7e566f85684ffae76b62f42b0b2dbb2d6fd4a000cddfc7e9"
 
 
 def test_readme_periodic_sweep_is_byte_identical(tmp_path):

@@ -1,4 +1,9 @@
+import contextlib
+import io
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +22,14 @@ from ricker_lab import (
     se_leq,
     simulate,
 )
-from ricker_lab import embedding
+from ricker_lab import cli, constant, embedding, periodic
 from ricker_lab.embedding import box_compatible, build_folded_embedding, compatible_box
 from ricker_lab.errors import (
     MaxIterExceeded,
     NonMonotoneDetected,
     NotAFixedPoint,
     PreconditionViolated,
+    WitnessConstructionFailed,
 )
 from ricker_lab.model import QuadPoint
 
@@ -393,6 +399,95 @@ def test_compatible_box_is_strict_or_at_float_resolution(r, gap, spread, above, 
         assert strict_witness(r, stocking, box.a, box.b, lo, hi)
         for F in planar_maps(ModelParams(r=r, stocking=stocking)):
             assert box_compatible(build_embedding(F), box)
+
+
+def _closure_walk_box(params, lo, hi):
+    # `compatible_box` as it read with its lower corner walked through the
+    # `build_embedding` closure of each map of `planar_maps`
+    r, h = params.r, params.stocking
+    floor = min(*h, lo)
+    a = r + 0.5 * (floor - r)
+    if not r < a < floor:
+        return None
+    b = min(2.0 * max(*embedding._compatibility_curves(a, r, h[0], h[-1])[:len(h)], hi), sys.float_info.max)
+    q = QuadPoint(a, b, b, a)
+    ok = hi < b
+    for F in planar_maps(params):
+        q = build_embedding(F)(q)
+        ok = ok and q.x > a and q.u < b
+    if ok:
+        return BoxRegion(a, b)
+    if math.exp(r - a) >= 1.0 - 4 * 2.0**-53:
+        return None
+    raise WitnessConstructionFailed(f"box ({a}, {b}) failed its strict check")
+
+
+def _box_or_failure(build, params, lo, hi):
+    try:
+        return build(params, lo, hi)
+    except WitnessConstructionFailed:
+        return "failed"
+
+
+_README_PERIODIC_SWEEP = ["sweep", "--mode", "periodic", "--r", "1", "--h0-lo", "0.3", "--h0-hi", "3", "--nh0", "40",
+                          "--h1-lo", "0.3", "--h1-hi", "3", "--nh1", "40", "--art-grid", "128"]
+_GOLDEN = Path(__file__).parent / "data" / "cli_points_golden.jsonl"
+
+
+def _boxes_at_float_resolution(n, seed):
+    # min(h) from 1 to 200 ulps above r, where the corner walk, not the
+    # placement of a, decides whether a box exists
+    rng = np.random.default_rng(seed)
+    boxes = []
+    for _ in range(n):
+        r = math.exp(rng.uniform(-4.0, 3.0))
+        low = r
+        for _ in range(int(rng.integers(1, 201))):
+            low = math.nextafter(low, math.inf)
+        spread = 10.0 ** rng.uniform(-13.0, 1.0)
+        stocking = [(low,), (low + spread, low), (low, low + spread)][int(rng.integers(0, 3))]
+        lo = low + 10.0 ** rng.uniform(-13.0, 1.0)
+        boxes.append((ModelParams(r=r, stocking=stocking), lo, lo + 10.0 ** rng.uniform(-13.0, 1.0)))
+    return boxes
+
+
+def test_compatible_box_walks_its_corner_as_the_embedding_closures_do_at_float_resolution():
+    # at the edge the walk decides some boxes: there a walk that fed the
+    # upper corner the wrong coordinate would pass boxes that this one fails
+    decided = 0
+    for params, lo, hi in _boxes_at_float_resolution(20000, 0):
+        box = _box_or_failure(compatible_box, params, lo, hi)
+        assert box == _box_or_failure(_closure_walk_box, params, lo, hi), (params, lo, hi)
+        a = params.r + 0.5 * (min(*params.stocking, lo) - params.r)
+        decided += box in (None, "failed") and params.r < a < min(*params.stocking, lo)
+    assert decided > 1000
+
+
+@pytest.mark.parametrize("calls", ["readme periodic sweep", "golden certify points"])
+def test_compatible_box_walks_its_corner_as_the_embedding_closures_do(monkeypatch, calls):
+    # every box the CLI builds, recorded with its arguments, comes out of the
+    # inline corner walk bit for bit as out of the closures, or fails alike
+    seen = []
+
+    def recording(params, lo, hi):
+        seen.append((params, lo, hi))
+        return compatible_box(params, lo, hi)
+
+    monkeypatch.setattr(periodic, "compatible_box", recording)
+    monkeypatch.setattr(constant, "compatible_box", recording)
+    if calls == "readme periodic sweep":
+        argvs = [_README_PERIODIC_SWEEP]
+    else:
+        records = [json.loads(line) for line in _GOLDEN.read_text().splitlines()]
+        argvs = [rec["argv"] for rec in records if rec["argv"][0] == "certify"]
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+    # the README plane's certifiable cells; the golden certify calls that
+    # build a box, constant and periodic
+    assert len(seen) == {"readme periodic sweep": 812, "golden certify points": 64}[calls]
+    for params, lo, hi in seen:
+        assert _box_or_failure(compatible_box, params, lo, hi) == _box_or_failure(_closure_walk_box, params, lo, hi)
 
 
 def test_injectivity_on_samples():

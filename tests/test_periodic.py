@@ -18,17 +18,22 @@ from ricker_lab import (
     find_artificial_cycles,
     solve_two_cycle,
 )
-from ricker_lab import _roots, periodic
+from ricker_lab import periodic
 from ricker_lab._roots import bisect, newton_2d
 from ricker_lab.embedding import build_folded_embedding
-from ricker_lab.errors import ContradictionDetected, NonConvergence, RickerLabError, WitnessConstructionFailed
+from ricker_lab.errors import (
+    ContradictionDetected,
+    NonConvergence,
+    PreconditionViolated,
+    RickerLabError,
+    WitnessConstructionFailed,
+)
 from ricker_lab.model import QuadPoint, planar_maps
 from ricker_lab.periodic import (
     RULE_CYCLE_LAS,
     RULE_CYCLE_UNSTABLE,
     RULE_DET_BELOW_ONE,
     _cycle_residuals,
-    _cycle_system,
     _first_residual,
     _geomspace,
     _orbit_bounds,
@@ -37,7 +42,7 @@ from ricker_lab.periodic import (
     _seed_cells,
 )
 
-from _oracles import mp_two_cycle, mp_two_cycle_near, orbit_batch
+from _oracles import mp_two_cycle, mp_two_cycle_near, mp_two_cycle_offsets, orbit_batch
 
 # frozen 40-digit oracle values (z0 = limit of even terms, z1 = odd terms)
 CYCLES = {
@@ -176,6 +181,13 @@ def _reduced_residual_grid(z0, r, h0, h1, y_max):
     return np.where(inside, z1 - h0 - z0 * np.exp(r - z1), 1e18)
 
 
+def _cycle_system(z0, z1, r, h0, h1):
+    # the 2-cycle residuals and their Jacobian in (z0, z1), for the reference
+    # polish
+    f0, f1 = math.exp(r - z0), math.exp(r - z1)
+    return z1 * f0 + h1 - z0, z0 * f1 + h0 - z1, -z1 * f0 - 1.0, f0, f1, -z0 * f1 - 1.0
+
+
 def _dense_cycle_roots(r, h0, h1, n_grid=4096):
     # the reference: the reduced residual's signs on a 4096-point geometric
     # grid, every sign change bisected and Newton-polished, roots deduplicated
@@ -208,23 +220,16 @@ def _solved_or_none(r, h0, h1):
     return rep.z0, rep.z1
 
 
-def _sign_ambiguous_floats(r, h0, h1, a, b, pad=64):
-    # the first float where the float residual is not negative and the last
-    # where it is, among the floats from pad ulps below min(a, b) to pad ulps
-    # above max(a, b); the first lies below the last only where the float
-    # residual crosses zero more than once
-    y_max = _orbit_bounds(r, h0, h1)[1]
-    t, hi = min(a, b), max(a, b)
-    for _ in range(pad):
-        t, hi = math.nextafter(t, -math.inf), math.nextafter(hi, math.inf)
-    first = last = None
-    while t <= hi:
-        if _reduced_residual(t, r, h0, h1, y_max) < 0.0:
-            last = t
-        elif first is None:
-            first = t
-        t = math.nextafter(t, math.inf)
-    return first, last
+def _ulps_off(got, want):
+    return float(abs(mp.mpf(got) - want)) / math.ulp(float(want))
+
+
+def _agrees_with_the_reference(r, h0, h1, solved, expected):
+    # each coordinate within 2 ulps of the reference's root, or else of the
+    # 40-digit root
+    if expected is not None and all(abs(g - e) <= 2 * math.ulp(e) for g, e in zip(solved, expected)):
+        return True
+    return all(_ulps_off(g, w) <= 2.0 for g, w in zip(solved, mp_two_cycle_offsets(r, h0, h1, *solved)))
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -232,9 +237,14 @@ def _sign_ambiguous_floats(r, h0, h1, a, b, pad=64):
        | st.tuples(st.floats(0.3, 30.0), st.floats(0.0, 60.0), st.floats(0.0, 60.0)))
 @example(point=(3.799153988382861, 0.6099207778882526, 1.3268276058619164e-06))
 @example(point=(0.3, 0.01421444972852082, 0.0))
+@example(point=(14.5, 0.0, 48.25))
+@example(point=(14.0, 46.0, 50.0))
 def test_two_cycle_matches_the_dense_scan(point):
-    # the proof leaves one sign change for the scan to find, and the one
-    # bisection on the proven bracket stops on the scan's float
+    # the proof leaves one sign change for the scan to find; the offset solve
+    # succeeds wherever the scan's bisection and polish do, on the same root
+    # to within 2 ulps, and where it alone succeeds, as where the polish
+    # rounds z1 - h0 away (at r = 14, h = (46, 50)), its pair lies within
+    # 2 ulps of the 40-digit root
     r, h0, h1 = point
     assume(h0 != h1)
     roots, changes = _dense_cycle_roots(r, h0, h1)
@@ -247,20 +257,9 @@ def test_two_cycle_matches_the_dense_scan(point):
             roots = []
     expected = roots[0] if roots else None
     solved = _solved_or_none(r, h0, h1)
-    if solved is None or expected is None or solved == expected:
-        assert solved == expected
-        return
-    # the bisections stop on different floats only where the float residual
-    # changes sign more than once next to the root, as at the two examples;
-    # both roots then lie where its sign cannot place the root, give or take
-    # the last ulps of the polish, and z1 follows z0 along z1(z0)
-    first, last = _sign_ambiguous_floats(r, h0, h1, solved[0], expected[0])
-    assert first < last
-    for z0 in (solved[0], expected[0]):
-        assert first - 2 * math.ulp(first) <= z0 <= last + 2 * math.ulp(last)
-    slope = math.exp(expected[0] - r) * (1.0 + expected[0] - h1)
-    dz0, dz1 = abs(solved[0] - expected[0]), abs(solved[1] - expected[1])
-    assert dz1 <= slope * dz0 + 2 * math.ulp(expected[1])
+    assert solved is not None or expected is None
+    if solved is not None:
+        assert _agrees_with_the_reference(r, h0, h1, solved, expected), (solved, expected)
 
 
 def test_two_cycle_matches_the_dense_scan_on_the_readme_plane():
@@ -270,40 +269,28 @@ def test_two_cycle_matches_the_dense_scan_on_the_readme_plane():
     for r, h0, h1 in plane:
         roots, changes = _dense_cycle_roots(r, h0, h1)
         assert changes == 1 and len(roots) == 1
-        assert _solved_or_none(r, h0, h1) == roots[0], (h0, h1)
+        solved = _solved_or_none(r, h0, h1)
+        assert solved is not None and _agrees_with_the_reference(r, h0, h1, solved, roots[0]), (h0, h1)
 
 
 def _full_bisection_two_cycle(r, h0, h1):
-    # the reference: the solve with every midpoint of the proven bracket
-    # evaluated, no Newton window; ("ok", z0, z1), or ("error", message)
+    # the reference: one bisection of the reduced residual down to adjacent
+    # floats on the solve's proven bracket, and a polish of the (z0, z1)
+    # residuals; (z0, z1), or None where a check fails
     x_max, y_max = _orbit_bounds(r, h0, h1)
     residual = lambda z0: _reduced_residual(z0, r, h0, h1, y_max)
     lo = math.nextafter(h1, math.inf)
     hi = min(x_max, max(h1 + 2.0, r + math.log(y_max + 1.0) + 2.0))
-    if not residual(lo) < 0.0:
-        return ("error", f"no 2-cycle resolvable for r={r}, h=({h0}, {h1}): z0 - h1 lies below "
-                         f"the float resolution of h1={h1}")
-    if not residual(hi) > 0.0:
-        return ("error", f"2-cycle bracket failed for r={r}, h=({h0}, {h1}) at z0={hi}")
+    if not (residual(lo) < 0.0 and residual(hi) > 0.0):
+        return None
     z0 = bisect(lambda t: residual(t) < 0.0, lo, hi)
     z0, z1 = newton_2d(lambda z0, z1: _cycle_system(z0, z1, r, h0, h1), z0, _reduced_z1(z0, r, h1))
     q1, q2 = _cycle_residuals(z0, z1, r, h0, h1)
-    if not max(abs(q1), abs(q2)) < 1e-10:
-        return ("error", f"2-cycle polish for r={r}, h=({h0}, {h1}) left residuals ({q1}, {q2})")
-    if not (z0 > h1 and z1 > h0):
-        return ("error", f"no 2-cycle resolvable for r={r}, h=({h0}, {h1}): the solved pair ({z0}, {z1}) "
-                         "is not above (h1, h0), so z0 - h1 or z1 - h0 lies below the float resolution")
+    if not (max(abs(q1), abs(q2)) < 1e-10 and z0 > h1 and z1 > h0):
+        return None
     if (h0 - h1) * (z1 - z0) < 0.0 and abs(z1 - z0) > math.ulp(max(z0, z1)):
-        return ("error", f"solved pair ({z0}, {z1}) violates the stocking/phase ordering law")
-    return ("ok", z0, z1)
-
-
-def _windowed_two_cycle(r, h0, h1):
-    try:
-        rep = solve_two_cycle(ModelParams(r=r, stocking=(h0, h1)))
-    except NonConvergence as exc:
-        return ("error", str(exc))
-    return ("ok", rep.z0, rep.z1)
+        return None
+    return z0, z1
 
 
 def _readme_plane():
@@ -319,79 +306,126 @@ def _log_uniform_points(n, seed):
     return [(float(a), float(b), float(c)) for a, (b, c) in zip(r, h) if b != c]
 
 
+def _ulps_to_the_root(r, h0, h1, pair):
+    return max(_ulps_off(g, w) for g, w in zip(pair, mp_two_cycle_offsets(r, h0, h1, *pair)))
+
+
 @pytest.mark.parametrize("points", ["readme", "small r", "log-uniform"])
-def test_two_cycle_is_bit_identical_to_the_full_bisection(points):
-    # the Newton window leaves the bisection's float, the polished pair and
-    # each failure as they are without it, here at 5560 points
+def test_two_cycle_is_no_less_accurate_than_the_full_bisection(points):
+    # the offset solve succeeds wherever the full bisection does, and each
+    # pair lies within 2 ulps of the bisection's, or no farther from the
+    # 40-digit root than the bisection's, beyond 2 ulps; a pair the
+    # bisection cannot give lies within 2 ulps of that root
     cases = {"readme": _readme_plane, "small r": lambda: SMALL_R_POINTS,
              "log-uniform": lambda: _log_uniform_points(4000, 19)}[points]()
     outcomes = set()
     for r, h0, h1 in cases:
-        got = _windowed_two_cycle(r, h0, h1)
-        assert got == _full_bisection_two_cycle(r, h0, h1), (r, h0, h1)
-        outcomes.add(got[0])
-    assert outcomes == ({"ok", "error"} if points == "log-uniform" else {"ok"})
+        solved, full = _solved_or_none(r, h0, h1), _full_bisection_two_cycle(r, h0, h1)
+        outcomes.add(solved is not None)
+        assert solved is not None or full is None, (r, h0, h1)
+        if solved is None or (full is not None and all(abs(s - f) <= 2 * math.ulp(f) for s, f in zip(solved, full))):
+            continue
+        off = _ulps_to_the_root(r, h0, h1, solved)
+        assert off <= (2.0 if full is None else max(2.0, _ulps_to_the_root(r, h0, h1, full))), (r, h0, h1)
+    assert outcomes == ({True, False} if points == "log-uniform" else {True})
 
 
-def test_a_window_of_one_band_would_move_a_small_r_root(monkeypatch):
-    # the comparison above has teeth: with the window cut to one band
-    # half-width, where rounding still decides F's sign just outside it, the
-    # bisection stops on another float at one of SMALL_R_POINTS
-    monkeypatch.setattr(_roots, "_WINDOW_BANDS", 1.0)
-    moved = [p for p in SMALL_R_POINTS if _windowed_two_cycle(*p) != _full_bisection_two_cycle(*p)]
-    assert len(moved) >= 1
+def _newton_steps(monkeypatch):
+    # Newton steps of each solve.  `newton_2d` accepts a trial only where
+    # |E1| + |E2| falls below that of its current point, which is the least
+    # residual evaluated so far; so each evaluation that sets a new least
+    # residual is one of its steps, and the finishing step is one more
+    solves = []
+    system = periodic._offset_system
 
+    def counting(*args):
+        e1, e2, *jacobian = system(*args)
+        least = solves[-1]
+        if abs(e1) + abs(e2) < least[0]:
+            least[0] = abs(e1) + abs(e2)
+            least[1] += 1
+        return e1, e2, *jacobian
 
-def test_two_cycle_solve_evaluates_the_reduced_residual_about_17_times(monkeypatch):
-    # the full bisection takes 55 evaluations per solve on the README plane;
-    # Newton's steps count, as each evaluates F
-    calls = []
-    residual, step = periodic._reduced_residual, periodic._reduced_newton_step
-    monkeypatch.setattr(periodic, "_reduced_residual", lambda *a: calls.append(1) or residual(*a))
-    monkeypatch.setattr(periodic, "_reduced_newton_step", lambda *a: calls.append(1) or step(*a))
-    counts = []
-    for r, h0, h1 in _readme_plane():
-        calls.clear()
+    monkeypatch.setattr(periodic, "_offset_system", counting)
+
+    def steps(r, h0, h1):
+        solves.append([math.inf, -1])  # the first evaluation is the start
         solve_two_cycle(ModelParams(r=r, stocking=(h0, h1)))
-        counts.append(len(calls))
-    assert np.median(counts) <= 18
-    assert max(counts) < 55
+        return solves[-1][1] + 1
+
+    return steps
+
+
+def test_two_cycle_solve_takes_at_most_6_offset_newton_steps_on_the_readme_plane(monkeypatch):
+    steps = _newton_steps(monkeypatch)
+    assert max(steps(*point) for point in _readme_plane()) <= 6
 
 
 def test_two_cycle_solve_at_large_r_takes_fewer_evaluations_than_the_full_bisection(monkeypatch):
-    # above r = 10, F grows like e^{z0} right of its root, and Newton from the
-    # bracket's midpoint crawls unless it halves the bracket instead; where it
-    # still does not settle, the sides it read narrow the bisection, so no
-    # solve evaluates F more often than the full bisection, Newton's steps
-    # included
+    # above r = 10, the 2-cycle's offsets reach e^{2r}; the offset solve,
+    # its two end-sign checks and its finishing step included, still
+    # evaluates fewer functions than the full bisection of the reduced
+    # residual, which takes about 55
     calls = []
-    residual, step = periodic._reduced_residual, periodic._reduced_newton_step
+    residual, system = periodic._reduced_residual, periodic._offset_system
     counted = lambda *a: calls.append(1) or residual(*a)
     monkeypatch.setattr(periodic, "_reduced_residual", counted)
-    monkeypatch.setattr(periodic, "_reduced_newton_step", lambda *a: calls.append(1) or step(*a))
+    monkeypatch.setattr(periodic, "_offset_system", lambda *a: calls.append(1) or system(*a))
     monkeypatch.setitem(globals(), "_reduced_residual", counted)
     pairs = []
     for r, h0, h1 in _log_uniform_points(4000, 19):
         if r <= 10.0:
             continue
         calls.clear()
-        if _windowed_two_cycle(r, h0, h1)[0] == "error":
+        if _solved_or_none(r, h0, h1) is None:
             continue
-        windowed = len(calls)
+        solved = len(calls)
         calls.clear()
         _full_bisection_two_cycle(r, h0, h1)
-        pairs.append((windowed, len(calls)))
+        pairs.append((solved, len(calls)))
     assert len(pairs) > 600
-    assert all(windowed < full for windowed, full in pairs)
-    assert np.median([windowed for windowed, _ in pairs]) <= 30
+    assert all(solved < full for solved, full in pairs)
+    assert np.median([solved for solved, _ in pairs]) <= 14
 
 
-@pytest.mark.parametrize("h0, h1", [(0.0, 3.4182591922630875e-71), (3.4182591922630875e-71, 0.0)])
+_STOCKING = st.just(0.0) | st.floats(math.log(1e-7), math.log(1e3)).map(math.exp)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(r=st.floats(math.log(1e-3), math.log(354.0)).map(math.exp), h0=_STOCKING, h1=_STOCKING)
+def test_two_cycle_solve_returns_a_checked_pair_or_a_typed_error(r, h0, h1):
+    # only the solve's own typed errors escape, never a float exception of
+    # the offsets' exp, log or division; a returned pair passes the checks
+    assume(h0 != h1)
+    try:
+        rep = solve_two_cycle(ModelParams(r=r, stocking=(h0, h1)))
+    except (NonConvergence, PreconditionViolated):
+        return
+    z0, z1 = rep.z0, rep.z1
+    assert max(abs(q) for q in _cycle_residuals(z0, z1, r, h0, h1)) < 1e-10
+    assert z0 > h1 and z1 > h0
+    assert not ((h0 - h1) * (z1 - z0) < 0.0 and abs(z1 - z0) > math.ulp(max(z0, z1)))
+
+
+# h = (0, 3.4e-71) and its swap: both true values lie about 3e-71 above 0.5,
+# so the correctly rounded pair is (0.5, 0.5), which the law does not order.
+# h0 and h1 an ulp apart at 0.22: the true pair is 1.2e-17 apart and agrees
+# with the law, and the float pair, each half an ulp off, is an ulp apart in
+# the wrong order
+MISORDER_POINTS = {
+    (0.0, 3.4182591922630875e-71): (0.5, 0.5),
+    (3.4182591922630875e-71, 0.0): (0.5, 0.5),
+    (0.2206983405753754, 0.22069834057537543): (0.8155504602912972, 0.8155504602912973),
+    (0.22069834057537543, 0.2206983405753754): (0.8155504602912973, 0.8155504602912972),
+}
+
+
+@pytest.mark.parametrize("h0, h1", list(MISORDER_POINTS))
 def test_ordering_law_allows_a_misorder_within_float_resolution(h0, h1):
-    # the true pair differs by about 1e-71 and agrees with the law; the float
-    # pair is one ulp apart, in the wrong order for h0 < h1
     rep = solve_two_cycle(ModelParams(r=0.5, stocking=(h0, h1)))
-    assert {rep.z0, rep.z1} == {0.5, math.nextafter(0.5, 0.0)}
+    assert (rep.z0, rep.z1) == MISORDER_POINTS[h0, h1]
+    for got, want in zip((rep.z0, rep.z1), mp_two_cycle_near(0.5, h0, h1, rep.z0)):
+        assert _ulps_off(got, want) <= 1.0
     assert max(rep.residuals) < 1e-10
     assert rep.local_verdict is LocalVerdict.LAS
 
