@@ -11,9 +11,7 @@ from .model import (
 from .embedding import (
     BoxRegion,
     Enclosure,
-    FoldedFixedPointKind,
     build_embedding,
-    classify_folded_fixed_point,
     corner_iterate,
     fold_period2,
     se_leq,
@@ -32,7 +30,6 @@ from .periodic import (
     TwoCycleReport,
     certify_periodic,
     corollary_shortcuts,
-    feasibility_curves,
     find_artificial_cycles,
     solve_two_cycle,
 )
@@ -44,14 +41,7 @@ from .orbits import (
     neimark_sacker_scan,
     simulate,
 )
-from .verdicts import (
-    ClassificationVerdict,
-    LocalVerdict,
-    VerdictTag,
-    eigenvalues_from_trace_det,
-    jury_is_stable,
-    jury_verdict,
-)
+from .verdicts import ClassificationVerdict, LocalVerdict, VerdictTag, jury_verdict
 from . import errors
 
 __version__ = "0.1.0"
@@ -59,16 +49,14 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelParams", "PlanarPoint", "QuadPoint", "density_f", "step", "vector_step",
     "planar_maps", "RickerMap",
-    "BoxRegion", "Enclosure", "FoldedFixedPointKind", "build_embedding",
-    "classify_folded_fixed_point", "corner_iterate", "fold_period2", "se_leq",
+    "BoxRegion", "Enclosure", "build_embedding", "corner_iterate", "fold_period2",
+    "se_leq",
     "EquilibriumReport", "ThresholdSet", "certify_constant", "feasible_ab",
     "find_intersections", "solve_equilibrium", "thresholds",
     "ArtificialCycleSet", "TwoCycleReport", "certify_periodic",
-    "corollary_shortcuts", "feasibility_curves", "find_artificial_cycles",
-    "solve_two_cycle",
+    "corollary_shortcuts", "find_artificial_cycles", "solve_two_cycle",
     "AttractorKind", "CrossingReport", "OrbitResult", "classify_attractor",
     "neimark_sacker_scan", "simulate",
-    "ClassificationVerdict", "LocalVerdict", "VerdictTag",
-    "eigenvalues_from_trace_det", "jury_is_stable", "jury_verdict",
+    "ClassificationVerdict", "LocalVerdict", "VerdictTag", "jury_verdict",
     "errors",
 ]

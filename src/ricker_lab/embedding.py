@@ -23,18 +23,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    MaxIterExceeded,
-    NonMonotoneDetected,
-    NotAFixedPoint,
-    PreconditionViolated,
-    WitnessConstructionFailed,
-)
+from .errors import NonMonotoneDetected, PreconditionViolated, WitnessConstructionFailed
 from .model import ModelParams, PlanarMap, QuadPoint, RickerMap
 
 QuadMap = Callable[[Sequence[float]], QuadPoint]
@@ -65,9 +58,6 @@ class BoxRegion:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a) and math.isfinite(self.b)) or self.a > self.b:
             raise ValueError(f"box requires finite a <= b, got ({self.a!r}, {self.b!r})")
-
-    def contains(self, point: Sequence[float]) -> bool:
-        return all(self.a <= c <= self.b for c in point)
 
 
 def _order_proven(F: PlanarMap) -> bool:
@@ -165,15 +155,16 @@ def compatible_box(params: ModelParams, lo: float, hi: float) -> BoxRegion | Non
     raise WitnessConstructionFailed(f"box ({a}, {b}) failed its strict check for r={r}, h={h}")
 
 
-def sample_monotone(G: QuadMap, box: BoxRegion, samples: int, seed: int = 0) -> None:
+def sample_monotone(G: QuadMap, box: BoxRegion, samples: int) -> None:
     """Check G on randomly drawn ordered quadruple pairs inside the box.
 
     The map is not proven monotone, only sampled: `samples` southeast-ordered
-    pairs are drawn and a single violation aborts with NonMonotoneDetected.
+    pairs are drawn, from a generator seeded with 0, and a single violation
+    aborts with NonMonotoneDetected.
     `corner_iterate` runs this for user-supplied maps; embeddings built from
     `model.planar_maps` are monotone by proof and are not sampled.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     a, b = box.a, box.b
     lo = rng.uniform(a, b, size=(samples, 4))
     t = rng.uniform(0.0, 1.0, size=(samples, 4))
@@ -217,8 +208,6 @@ def corner_iterate(
     max_iter: int = 10**6,
     monotone_samples: int = 10_000,
     require_compatible: bool = True,
-    raise_on_max_iter: bool = False,
-    seed: int = 0,
 ) -> Enclosure:
     """Iterate G from the box corners (a,b,b,a) and (b,a,a,b) to their limits.
 
@@ -236,8 +225,7 @@ def corner_iterate(
     float orbits actually computed.
 
     Stops when both corner orbits move less than `tol` in sup norm, or after
-    `max_iter` steps (converged=False, or MaxIterExceeded when
-    `raise_on_max_iter` is set).
+    `max_iter` steps with converged=False.
     """
     compatible = box_compatible(G, box)
     if require_compatible and not compatible:
@@ -247,7 +235,7 @@ def corner_iterate(
         )
     proven = getattr(G, "_proven_monotone", False) and box.a >= 0.0
     if monotone_samples > 0 and not proven:
-        sample_monotone(G, box, monotone_samples, seed=seed)
+        sample_monotone(G, box, monotone_samples)
 
     # se_leq and _sup_dist are written out on coordinates unpacked once per
     # step: five helper calls a step cost about as much as the step itself
@@ -281,8 +269,6 @@ def corner_iterate(
         if delta < tol:
             converged = True
             break
-    if not converged and raise_on_max_iter:
-        raise MaxIterExceeded(f"corner iteration did not settle within {max_iter} steps")
 
     return Enclosure(
         lower=QuadPoint(*lower),
@@ -318,53 +304,3 @@ def fold_period2(t0: Planar2Map, t1: Planar2Map) -> tuple[Planar2Map, Planar2Map
 
     return t10, t01
 
-
-# ---------------------------------------------------------------------------
-# Fixed point taxonomy
-# ---------------------------------------------------------------------------
-
-
-class FoldedFixedPointKind(str, Enum):
-    COMMON_EQUILIBRIUM = "CommonEquilibrium"
-    ONE_DIMENSIONAL_TWO_CYCLE = "OneDimensionalTwoCycle"
-    PSEUDO_COMMON_FIXED_POINTS = "PseudoCommonFixedPoints"
-    TRUE_TWO_CYCLE = "TrueTwoCycle"
-    ARTIFICIAL_CYCLES = "ArtificialCycles"
-
-
-def classify_folded_fixed_point(
-    xi: Sequence[float],
-    f0: PlanarMap,
-    f1: PlanarMap,
-    tol: float = 1e-8,
-) -> FoldedFixedPointKind:
-    """Classify a fixed point of the folded embedded map G1 o G0.
-
-    The branches are decided purely by coordinate equalities within `tol`:
-    x = y with (u, v) = (x, x) is a common equilibrium of both maps; x = y
-    with u = v != x seeds a 2-cycle of the diagonal one-dimensional system;
-    x != y with (u, v) = (y, x) is a pseudo pair fixed by both embedded maps;
-    x != y with (u, v) = (x, y) seeds a genuine 2-cycle of the alternating
-    system; anything else is an artificial cycle.
-    """
-    image = build_folded_embedding(f0, f1)(xi)
-    resid = _sup_dist(image, xi)
-    # A point perturbed by tol moves by O(tol) under the folded map, so the
-    # fixed-point gate is looser than the coordinate-equality tolerance.
-    if resid > max(10.0 * tol, 1e-7):
-        raise NotAFixedPoint(
-            f"point {tuple(xi)} is not fixed by the folded map (residual {resid:.3e})"
-        )
-    x, y, u, v = xi
-    eq = lambda a, b: abs(a - b) <= tol
-    if eq(x, y):
-        if eq(u, x) and eq(v, x):
-            return FoldedFixedPointKind.COMMON_EQUILIBRIUM
-        if eq(u, v):
-            return FoldedFixedPointKind.ONE_DIMENSIONAL_TWO_CYCLE
-        return FoldedFixedPointKind.ARTIFICIAL_CYCLES
-    if eq(u, y) and eq(v, x):
-        return FoldedFixedPointKind.PSEUDO_COMMON_FIXED_POINTS
-    if eq(u, x) and eq(v, y):
-        return FoldedFixedPointKind.TRUE_TWO_CYCLE
-    return FoldedFixedPointKind.ARTIFICIAL_CYCLES

@@ -29,10 +29,6 @@ class Infeasible(RickerLabError):
     """No compatible box exists for the requested parameters."""
 
 
-class NotAFixedPoint(RickerLabError):
-    """The point handed to a classifier is not a fixed point of the map."""
-
-
 class NonConvergence(RickerLabError):
     """A cycle solver failed to settle on a solution."""
 

@@ -79,10 +79,6 @@ class ModelParams:
         return self.stocking[n % self.p]
 
     @property
-    def is_constant(self) -> bool:
-        return self.p == 1
-
-    @property
     def h_const(self) -> float:
         """The single stocking value; only meaningful for p = 1."""
         if self.p != 1:

@@ -73,8 +73,6 @@ class OrbitResult:
 
     kind: AttractorKind
     samples: np.ndarray
-    transient_used: int
-    tolerance: float
     value: Optional[float] = None
     period: Optional[int] = None
     points: Optional[tuple[float, ...]] = None
@@ -107,9 +105,7 @@ def classify_attractor(
 
     if w.max() - w.min() < tol:
         return OrbitResult(
-            kind=AttractorKind.EQUILIBRIUM, samples=samples,
-            transient_used=transient, tolerance=tol,
-            value=float(w.mean()), period=1,
+            kind=AttractorKind.EQUILIBRIUM, samples=samples, value=float(w.mean()), period=1,
         )
     # the full shift test at k includes |w[k] - w[0]| < tol, so only the
     # periods passing that one comparison can match
@@ -117,22 +113,14 @@ def classify_attractor(
     for k in candidates.tolist():
         if np.max(np.abs(w[k:] - w[:-k])) < tol:
             return OrbitResult(
-                kind=AttractorKind.CYCLE, samples=samples,
-                transient_used=transient, tolerance=tol,
-                period=k, points=tuple(float(v) for v in w[-k:]),
+                kind=AttractorKind.CYCLE, samples=samples, period=k, points=tuple(float(v) for v in w[-k:]),
             )
     spectral = _modulus_at(params)
     if spectral is not None:
         radius, lead = spectral
         if lead.imag != 0.0 and radius > 1.0:
-            return OrbitResult(
-                kind=AttractorKind.INVARIANT_CURVE, samples=samples,
-                transient_used=transient, tolerance=tol,
-            )
-    return OrbitResult(
-        kind=AttractorKind.UNRESOLVED, samples=samples,
-        transient_used=transient, tolerance=tol,
-    )
+            return OrbitResult(kind=AttractorKind.INVARIANT_CURVE, samples=samples)
+    return OrbitResult(kind=AttractorKind.UNRESOLVED, samples=samples)
 
 
 @dataclass(frozen=True)

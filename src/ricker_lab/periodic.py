@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._roots import newton_2d
-from .embedding import BoxRegion, _compatibility_curves, build_folded_embedding, compatible_box
+from .embedding import BoxRegion, build_folded_embedding, compatible_box
 from .errors import ContradictionDetected, NonConvergence, PreconditionViolated
 from .model import ModelParams, QuadPoint, planar_maps
 from .verdicts import (
@@ -223,8 +223,11 @@ def solve_two_cycle(params: ModelParams) -> TwoCycleReport:
         raise NonConvergence(
             f"solved pair ({z0}, {z1}) violates the stocking/phase ordering law"
         )
-    det = (z1 - h0) * (z0 - h1)
-    trace = (h1 - z0) + (h0 - z1) + (1.0 - h0 / z1) * (1.0 - h1 / z0)
+    # Det and Tr from the full-precision offsets d0 = z0 - h1, d1 = z1 - h0:
+    # re-formed from the rounded pair, they lose digits where h1 or h0 dwarfs
+    # them.  (1 - h0/z1)(1 - h1/z0) = (d1/z1)(d0/z0) = Det / (z0 z1).
+    det = d0 * d1
+    trace = det / (z0 * z1) - d0 - d1
     return TwoCycleReport(
         z0=z0,
         z1=z1,
@@ -272,20 +275,6 @@ def corollary_shortcuts(report: TwoCycleReport, params: ModelParams) -> list[str
     return fired
 
 
-def feasibility_curves(t: float, params: ModelParams) -> tuple[float, float]:
-    """The two decreasing curves bounding compatible boxes, evaluated at t > r.
-
-    First value: h0 / (1 - f(t)), the height making the one-step condition an
-    equality.  Second: (h0 f(t) + h1) / (1 - f(t)^2) for the two-step
-    condition.  Both have a pole at t = r and decay to h0 and h1.  They are
-    the curves `embedding.compatible_box` places its witness box by.
-    """
-    r, h0, h1 = _require_two_periodic(params)
-    if t <= r:
-        raise ValueError(f"feasibility curves are defined for t > r, got t={t}, r={r}")
-    return _compatibility_curves(t, r, h0, h1)
-
-
 # ---------------------------------------------------------------------------
 # Artificial cycles
 # ---------------------------------------------------------------------------
@@ -304,8 +293,6 @@ class ArtificialCycleSet:
     cycles: tuple[QuadPoint, ...]
     count: int
     grid: int
-    x_max: float
-    y_max: float
 
 
 def _first_residual(X, Y, eX, eY, r: float, h0: float, h1: float):
@@ -522,7 +509,7 @@ def find_artificial_cycles(
     [(seeds, x_max, y_max)] = _scan_seeds([params], grid)
     roots = sorted(_artificial_roots(seeds, params.r, *params.stocking, x_max, y_max))
     quads = tuple(_artificial_quads(params, cycle, roots))
-    return ArtificialCycleSet(cycles=quads, count=len(quads), grid=grid, x_max=x_max, y_max=y_max)
+    return ArtificialCycleSet(cycles=quads, count=len(quads), grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -674,5 +661,5 @@ def _sweep_tags(cells: Iterable[tuple], grid: int) -> Iterator[tuple[ModelParams
                 seeds, x_max, y_max = next(scans)
                 roots = _artificial_roots(seeds, params.r, *params.stocking, x_max, y_max)
                 first = tuple(itertools.islice(_artificial_quads(params, report, roots), 1))
-                art = ArtificialCycleSet(cycles=first, count=len(first), grid=grid, x_max=x_max, y_max=y_max)
+                art = ArtificialCycleSet(cycles=first, count=len(first), grid=grid)
             yield params, report, _periodic_verdict(report, box, art, grid).tag

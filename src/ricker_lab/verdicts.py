@@ -31,16 +31,14 @@ def eigenvalues_from_trace_det(tr: float, det: float) -> tuple[complex, complex]
     return complex(tr / 2.0, s / 2.0), complex(tr / 2.0, -s / 2.0)
 
 
-def jury_is_stable(tr: float, det: float) -> bool:
-    """Jury conditions |tr| < 1 + det < 2 for both eigenvalues inside the unit disk."""
-    return abs(tr) < 1.0 + det < 2.0
+def jury_verdict(tr: float, det: float) -> LocalVerdict:
+    """Jury classification with a marginal band of 1e-10 around the boundary.
 
-
-def jury_verdict(tr: float, det: float, margin: float = 1e-10) -> LocalVerdict:
-    """Jury classification with a marginal band around the boundary."""
-    if abs(abs(tr) - (1.0 + det)) < margin or abs(det - 1.0) < margin:
+    Both eigenvalues lie inside the unit disk iff |tr| < 1 + det < 2.
+    """
+    if abs(abs(tr) - (1.0 + det)) < 1e-10 or abs(det - 1.0) < 1e-10:
         return LocalVerdict.MARGINAL
-    if jury_is_stable(tr, det):
+    if abs(tr) < 1.0 + det < 2.0:
         return LocalVerdict.LAS
     return LocalVerdict.UNSTABLE
 

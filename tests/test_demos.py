@@ -1,4 +1,6 @@
-"""Each demo script runs to completion against the library in src/."""
+"""Each demo script runs to completion against the library in src/, with
+RuntimeWarnings (numpy overflow and invalid-value warnings among them) raised
+as errors, as the CLI recipes run in CI."""
 import os
 import subprocess
 import sys
@@ -19,7 +21,7 @@ def test_demos_are_found():
 def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -12,10 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ricker_lab import (
     BoxRegion,
-    FoldedFixedPointKind,
     ModelParams,
     build_embedding,
-    classify_folded_fixed_point,
     corner_iterate,
     fold_period2,
     planar_maps,
@@ -24,13 +22,7 @@ from ricker_lab import (
 )
 from ricker_lab import cli, constant, embedding, periodic
 from ricker_lab.embedding import box_compatible, build_folded_embedding, compatible_box
-from ricker_lab.errors import (
-    MaxIterExceeded,
-    NonMonotoneDetected,
-    NotAFixedPoint,
-    PreconditionViolated,
-    WitnessConstructionFailed,
-)
+from ricker_lab.errors import NonMonotoneDetected, PreconditionViolated, WitnessConstructionFailed
 from ricker_lab.model import QuadPoint
 
 from _oracles import mp_equilibrium, strict_witness
@@ -39,10 +31,6 @@ YBAR_2_3 = 3.6839070955344095
 # pseudo fixed points of (r=2, h=2.6), frozen from the scalar 2-cycle oracle
 XSTAR = 2.7407493243191001
 YSTAR = 4.9690061715897323
-# 2-cycle of (r=1, h=(2, 1)), frozen from the scalar reduction oracle
-Z0_121 = 1.9497266070049478
-Z1_121 = 2.4550459773112217
-ART_121 = (1.1087550341333, 3.3062780550092, 3.9655664742232, 2.1104667995193)
 
 
 def ricker_map(r, h):
@@ -139,8 +127,6 @@ def test_corner_iterate_iteration_cap():
     G = build_embedding(ricker_map(2.0, 3.0))
     enc = corner_iterate(G, BoxRegion(3.0, 6.0), max_iter=3)
     assert not enc.converged and enc.iterations == 3
-    with pytest.raises(MaxIterExceeded):
-        corner_iterate(G, BoxRegion(3.0, 6.0), max_iter=3, raise_on_max_iter=True)
 
 
 def test_corner_iterate_degenerate_box():
@@ -566,43 +552,3 @@ def test_fold_conjugacy_identities():
         right2 = t01(*poly_t0(*p))
         assert left2 == pytest.approx(right2, rel=1e-12)
 
-
-# ---------------------------------------------------------------------------
-# folded fixed point taxonomy
-# ---------------------------------------------------------------------------
-
-
-def test_classify_common_equilibrium():
-    f = ricker_map(2.0, 3.0)
-    kind = classify_folded_fixed_point((YBAR_2_3,) * 4, f, f, tol=1e-8)
-    assert kind is FoldedFixedPointKind.COMMON_EQUILIBRIUM
-
-
-def test_classify_true_two_cycle():
-    f0 = ricker_map(1.0, 2.0)
-    f1 = ricker_map(1.0, 1.0)
-    xi = (Z0_121, Z1_121, Z0_121, Z1_121)
-    assert classify_folded_fixed_point(xi, f0, f1, tol=1e-8) is FoldedFixedPointKind.TRUE_TWO_CYCLE
-
-
-def test_classify_artificial_cycle():
-    f0 = ricker_map(1.0, 2.0)
-    f1 = ricker_map(1.0, 1.0)
-    assert classify_folded_fixed_point(ART_121, f0, f1, tol=1e-6) is FoldedFixedPointKind.ARTIFICIAL_CYCLES
-    # three-decimal-rounded coordinates still classify with a loose tolerance
-    rounded = (1.109, 3.306, 3.966, 2.110)
-    assert classify_folded_fixed_point(rounded, f0, f1, tol=5e-3) is FoldedFixedPointKind.ARTIFICIAL_CYCLES
-
-
-def test_classify_pseudo_common_fixed_points():
-    # for equal maps, the off-diagonal embedded fixed point has the (x,y,y,x) shape
-    f = ricker_map(2.0, 2.6)
-    xi = (XSTAR, YSTAR, YSTAR, XSTAR)
-    assert classify_folded_fixed_point(xi, f, f, tol=1e-6) is FoldedFixedPointKind.PSEUDO_COMMON_FIXED_POINTS
-
-
-def test_classify_rejects_non_fixed_point():
-    f0 = ricker_map(1.0, 2.0)
-    f1 = ricker_map(1.0, 1.0)
-    with pytest.raises(NotAFixedPoint):
-        classify_folded_fixed_point((1.0, 2.0, 3.0, 4.0), f0, f1, tol=1e-8)

@@ -17,7 +17,7 @@ def test_minimal_period_normalization():
     assert ModelParams(r=1.0, stocking=(2.0, 2.0)).stocking == (2.0,)
     assert ModelParams(r=1.0, stocking=(1.0, 2.0, 1.0, 2.0)).p == 2
     assert ModelParams(r=1.0, stocking=(1.0, 2.0, 3.0)).p == 3
-    assert ModelParams.constant(1.0, 0.5).is_constant
+    assert ModelParams.constant(1.0, 0.5).p == 1
     assert ModelParams.two_periodic(1.0, 1.0, 2.0).p == 2
 
 

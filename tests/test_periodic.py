@@ -14,13 +14,12 @@ from ricker_lab import (
     VerdictTag,
     certify_periodic,
     corollary_shortcuts,
-    feasibility_curves,
     find_artificial_cycles,
     solve_two_cycle,
 )
 from ricker_lab import periodic
 from ricker_lab._roots import bisect, newton_2d
-from ricker_lab.embedding import build_folded_embedding
+from ricker_lab.embedding import _compatibility_curves, build_folded_embedding
 from ricker_lab.errors import (
     ContradictionDetected,
     NonConvergence,
@@ -658,9 +657,7 @@ def _reference_artificial_cycles(params, grid, cycle):
         if max(abs(a - b) for a, b in zip(g10(q), q)) > 1e-9:
             continue
         quads.append(q)
-    return periodic.ArtificialCycleSet(
-        cycles=tuple(quads), count=len(quads), grid=grid, x_max=x_max, y_max=y_max
-    )
+    return periodic.ArtificialCycleSet(cycles=tuple(quads), count=len(quads), grid=grid)
 
 
 def test_artificial_cycles_match_the_reference_polish_on_the_readme_plane():
@@ -728,6 +725,26 @@ def test_ordering_law_and_det_identity_random():
         # one Jury inequality holds unconditionally
         assert rep.det - rep.trace + 1.0 > 0.0
         assert max(rep.residuals) < 1e-10
+
+
+@pytest.mark.parametrize("point", [(14.0, 46.0, 50.0), (1.0, 9.0, 30.0), (0.5, 8.7, 31.7)])
+def test_two_cycle_det_and_trace_keep_the_digits_of_the_offsets(point):
+    # where h1 or h0 dwarfs the offsets d0 = z0 - h1 and d1 = z1 - h0, the
+    # rounded z0 and z1 hold few of their digits: (z1 - h0)(z0 - h1) formed
+    # from them was 33% off at (14, 46, 50) and 1.5e-4 off at (1, 9, 30).
+    # Det = d0 d1 and Tr = Det / (z0 z1) - d0 - d1 from the solved offsets
+    # lie within 8 eps of the 40-digit values, Tr relative to the sum of the
+    # magnitudes of its terms
+    eps = 2.0**-52
+    r, h0, h1 = point
+    rep = solve_two_cycle(params_of(point))
+    z0, z1 = mp_two_cycle_offsets(r, h0, h1, rep.z0, rep.z1)
+    d0, d1 = z0 - h1, z1 - h0
+    det = d0 * d1
+    trace = det / (z0 * z1) - d0 - d1
+    assert abs(rep.det - det) <= 8 * eps * det
+    assert abs(rep.trace - trace) <= 8 * eps * (d0 + d1 + det / (z0 * z1))
+    assert rep.local_verdict is LocalVerdict.LAS
 
 
 def test_swap_symmetry():
@@ -811,21 +828,15 @@ def test_instability_clause_fires_when_both_exceed():
 
 
 def test_feasibility_curves():
-    params = params_of((1.0, 2.0, 1.5))
-    one_step, two_step = feasibility_curves(2.0, params)
+    one_step, two_step = _compatibility_curves(2.0, 1.0, 2.0, 1.5)
     assert one_step == pytest.approx(3.16395341373865, abs=1e-12)
     assert two_step == pytest.approx(2.58569459236382, abs=1e-12)
     # decreasing, with limits h0 and h1
-    g1a, g2a = feasibility_curves(2.0, params)
-    g1b, g2b = feasibility_curves(3.0, params)
-    assert g1a > g1b and g2a > g2b
-    g1c, g2c = feasibility_curves(60.0, params)
+    g1b, g2b = _compatibility_curves(3.0, 1.0, 2.0, 1.5)
+    assert one_step > g1b and two_step > g2b
+    g1c, g2c = _compatibility_curves(60.0, 1.0, 2.0, 1.5)
     assert g1c == pytest.approx(2.0, abs=1e-12)
     assert g2c == pytest.approx(1.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        feasibility_curves(1.0, params)
-    with pytest.raises(ValueError):
-        feasibility_curves(0.5, params)
 
 
 @pytest.mark.parametrize("offset", [1e-13, 1e-10, 1e-6, 1.0])
@@ -836,7 +847,7 @@ def test_feasibility_curves_keep_their_digits_next_to_the_pole(point, offset):
     # stay within 4 ulps of 1 of a 40-digit value at the same floats t and r
     r, h0, h1 = point
     t = r + offset
-    got = feasibility_curves(t, params_of(point))
+    got = _compatibility_curves(t, r, h0, h1)
     with mp.workdps(40):
         f = mp.exp(mp.mpf(r) - mp.mpf(t))
         want = (h0 / (1 - f), (h0 * f + h1) / (1 - f * f))
