@@ -24,6 +24,39 @@ def bisect(below: Callable[[float], bool], lo: float, hi: float, width: float = 
     return 0.5 * (lo + hi)
 
 
+def bracketed_newton(step: Callable[[float], tuple[float, float]], lo: float, hi: float, t: float) -> float:
+    """Root of a function on [lo, hi] by Newton's method from t in [lo, hi],
+    kept inside the function's sign bracket (Press et al., Numerical Recipes,
+    section 9.4, `rtsafe`).
+
+    `step(t)` returns the value and slope at t; a value above 0 puts t on
+    the `lo` side of the root, as `below` does for `bisect`, and each
+    evaluation moves that side's end of the bracket to t.  A Newton step
+    that does not land strictly inside the bracket, or is more than half the
+    step before the last one, is replaced by the bracket's midpoint.  Like
+    `bisect` it ends on float resolution: at a Newton step that rounds back
+    to t, returning t, or at a midpoint with no float strictly inside the
+    bracket, returning that midpoint.  Every point after the first lies
+    strictly inside the bracket, which so shrinks with each evaluation.
+    """
+    last = older = hi - lo
+    while True:
+        value, slope = step(t)
+        if value > 0.0:
+            lo = t
+        else:
+            hi = t
+        nxt = t - value / slope if slope else math.nan
+        if nxt == t:
+            return t
+        if not lo < nxt < hi or 2.0 * abs(nxt - t) > abs(older):
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                return nxt
+        older, last = last, nxt - t
+        t = nxt
+
+
 def newton_2d(system: Callable[[float, float], tuple[float, ...]], x: float, y: float) -> tuple[float, float]:
     """Damped Newton from (x, y) on `system`, which returns the residuals and
     Jacobian (r1, r2, j11, j12, j21, j22); returns the last accepted point.

@@ -182,9 +182,9 @@ def cmd_two_cycle(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     params = ModelParams(r=args.r, stocking=_stocking_from(args))
     if params.p == 1:
-        verdict = certify_constant(params)
-        payload = {"mode": "constant", "r": params.r, "h": params.h_const}
-        payload["y_bar"] = solve_equilibrium(params).y_bar
+        report = solve_equilibrium(params)
+        verdict = certify_constant(params, equilibrium=report)
+        payload = {"mode": "constant", "r": params.r, "h": params.h_const, "y_bar": report.y_bar}
     else:
         report = solve_two_cycle(params)
         verdict = certify_periodic(params, args.grid, cycle=report)

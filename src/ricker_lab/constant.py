@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._roots import bisect
+from ._roots import bracketed_newton
 from .errors import BracketFailure, Infeasible, MaxIterExceeded
 from .model import ModelParams, PlanarPoint
 from .embedding import BoxRegion, compatible_box
@@ -185,7 +185,27 @@ def solve_equilibrium(params: ModelParams) -> EquilibriumReport:
 
 
 def _g1(t: float, r: float, h: float) -> float:
-    return h / (1.0 - math.exp(r - t))
+    """g1(t) = h / (1 - e^{r-t}), with the denominator from expm1, so that it
+    keeps its relative accuracy as t nears r."""
+    return h / -math.expm1(r - t)
+
+
+def _pseudo_pair(r: float, h: float, y_bar: float) -> tuple[float, float]:
+    """The pseudo fixed points (x*, y*) for r2 < r < h, given the equilibrium
+    y_bar, solved as `find_intersections` describes."""
+    if math.exp(r - h) >= 1.0:
+        raise BracketFailure(f"g1(h) is infinite at r={r}, h={h}: e^(r-h) rounds to 1")
+
+    def s(t: float) -> tuple[float, float]:
+        u = _g1(t, r, h)
+        w = _g1(u, r, h)
+        return w - t, u * (u - h) / h * (w * (w - h) / h) - 1.0
+
+    top = _g1(h, r, h)
+    s_lo, s_hi = s(h)[0], s(top)[0]
+    if s_lo < 0.0 or s_hi > 0.0:
+        raise BracketFailure(f"pseudo fixed point brackets failed for r={r}, h={h}: ({s_lo}, {s_hi})")
+    return bracketed_newton(s, h, y_bar, h), bracketed_newton(s, y_bar, top, top)
 
 
 def find_intersections(params: ModelParams) -> list[PlanarPoint]:
@@ -198,9 +218,18 @@ def find_intersections(params: ModelParams) -> list[PlanarPoint]:
     g1 > h because 0 < e^{r-t} < 1, so x* = g1(y*) > h, and as g1 decreases,
     y* = g1(x*) < g1(h).  Hence s(t) = g1(g1(t)) - t is >= 0 at h and <= 0
     at g1(h); s changes sign only at x*, y_bar and y*, and y_bar repels, so
-    bisecting on the sign of s over [h, y_bar] gives x* and over
-    [y_bar, g1(h)] gives y*.  Raises BracketFailure where g1(h) is infinite
-    (e^{r-h} rounds to 1) or the end signs fail in floats.
+    s > 0 marks the lower side of x* on [h, y_bar] and of y* on
+    [y_bar, g1(h)].  Both end signs are checked in floats.  Each point is
+    solved on its own bracket by `_roots.bracketed_newton`, x* from h and y*
+    from g1(h), the ends away from y_bar, with the slope
+    s'(t) = g1'(g1(t)) g1'(t) - 1 and g1'(t) = -g1(t)^2 e^{r-t} / h, taken
+    as -g1(t) (g1(t) - h) / h.  A step that leaves the bracket or fails to
+    shrink is a halving instead, and each solve ends on float resolution: a
+    Newton step that rounds back to its point, or a bracket with no float
+    inside.  g1 forms 1 - e^{r-t} as -expm1(r - t), which does not cancel
+    as t nears r.  Returns [(x*, y*), (y_bar, y_bar), (y*, x*)].  Raises
+    BracketFailure where g1(h) is infinite (e^{r-h} rounds to 1) or the end
+    signs fail.
     """
     if params.p != 1:
         raise ValueError("find_intersections requires constant stocking (p = 1)")
@@ -210,16 +239,7 @@ def find_intersections(params: ModelParams) -> list[PlanarPoint]:
     y_bar = _equilibrium_root(r, h)
     if not thresholds(h).r2 < r < h:
         return [PlanarPoint(y_bar, y_bar)]
-
-    if math.exp(r - h) >= 1.0:
-        raise BracketFailure(f"g1(h) is infinite at r={r}, h={h}: e^(r-h) rounds to 1")
-    s = lambda t: _g1(_g1(t, r, h), r, h) - t
-    top = _g1(h, r, h)
-    s_lo, s_hi = s(h), s(top)
-    if s_lo < 0.0 or s_hi > 0.0:
-        raise BracketFailure(f"pseudo fixed point brackets failed for r={r}, h={h}: ({s_lo}, {s_hi})")
-    x_star = bisect(lambda t: s(t) > 0.0, h, y_bar)
-    y_star = bisect(lambda t: s(t) > 0.0, y_bar, top)
+    x_star, y_star = _pseudo_pair(r, h, y_bar)
     return [PlanarPoint(x_star, y_star), PlanarPoint(y_bar, y_bar), PlanarPoint(y_star, x_star)]
 
 
@@ -269,7 +289,9 @@ def _constant_tag(r: float, h: float, ts: ThresholdSet, y_bar: float) -> Verdict
     return VerdictTag.LOCALLY_STABLE_GLOBAL_OPEN
 
 
-def certify_constant(params: ModelParams) -> ClassificationVerdict:
+def certify_constant(
+    params: ModelParams, *, equilibrium: EquilibriumReport | None = None
+) -> ClassificationVerdict:
     """Classify the long-run behavior under constant stocking.
 
     GloballyStable for r <= r2; AbsorbingBox [x*, y*] for r2 < r < h,
@@ -278,7 +300,11 @@ def certify_constant(params: ModelParams) -> ClassificationVerdict:
     h <= r or h = r to float resolution.  Otherwise the
     conjecture region tag LocallyStableGlobalOpen while the equilibrium is
     Jury-stable, and Unstable beyond r1.  The open-region tag is never
-    upgraded even when orbits visibly converge.
+    upgraded even when orbits visibly converge.  `equilibrium` is the
+    `solve_equilibrium` report of params, for a caller that already has it;
+    it is solved here otherwise, with the same verdict.  Its y_bar is the
+    one every rule reads, the pseudo fixed points' bracket included, so no
+    call solves the equilibrium more than once.
     """
     if params.p != 1:
         raise ValueError("certify_constant requires constant stocking (p = 1)")
@@ -286,7 +312,7 @@ def certify_constant(params: ModelParams) -> ClassificationVerdict:
     if h <= 0.0:
         raise ValueError("certification requires h > 0; the h = 0 limit is out of scope")
     ts = thresholds(h)
-    report = solve_equilibrium(params)
+    report = solve_equilibrium(params) if equilibrium is None else equilibrium
     tag = _constant_tag(r, h, ts, report.y_bar)
 
     if tag is VerdictTag.GLOBALLY_STABLE:
@@ -297,9 +323,7 @@ def certify_constant(params: ModelParams) -> ClassificationVerdict:
             local=report.local_verdict,
         )
     if tag is VerdictTag.ABSORBING_BOX:
-        pts = find_intersections(params)
-        xs = min(p.x for p in pts)
-        ys = max(p.x for p in pts)
+        xs, ys = _pseudo_pair(r, h, report.y_bar)
         box = compatible_box(params, ys, ys)
         note = ""
         if report.local_verdict is LocalVerdict.MARGINAL:

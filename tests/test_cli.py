@@ -22,6 +22,7 @@ from ricker_lab import (
     certify_constant,
     certify_periodic,
     cli,
+    constant,
     periodic,
     solve_equilibrium,
     solve_two_cycle,
@@ -406,6 +407,28 @@ def test_periodic_cells_solve_their_two_cycle_once(capsys, monkeypatch):
     solved.clear()
     code, _, _ = run(capsys, "certify", "--r", "1", "--h0", "2", "--h1", "1.5", "--grid", "64")
     assert code == 0 and solved == [(2.0, 1.5)]
+
+
+@pytest.mark.parametrize("r, h, tag", [
+    (2.0, 2.6, "AbsorbingBox"), (1.8, 2.6, "GloballyStable"),
+    (1.2, 1.0, "LocallyStableGlobalOpen"), (3.0, 0.5, "Unstable"),
+])
+def test_constant_certify_solves_its_equilibrium_once(capsys, monkeypatch, r, h, tag):
+    # the report printed as y_bar is the one every rule reads, the pseudo
+    # fixed points' bracket included
+    solved = []
+    solve = constant._equilibrium_root
+
+    def counting_root(r, h):
+        solved.append((r, h))
+        return solve(r, h)
+
+    monkeypatch.setattr(constant, "_equilibrium_root", counting_root)
+    code, out, _ = run(capsys, "certify", "--r", repr(r), "--h", repr(h), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == tag and payload["y_bar"] == solve(r, h)
+    assert solved == [(r, h)]
 
 
 # h1 = 3.4e-71 against h0 = 0: both true values round to 0.5, which the law

@@ -16,6 +16,7 @@ from ricker_lab import (
     thresholds,
 )
 from ricker_lab import constant
+from ricker_lab._roots import bisect
 from ricker_lab.constant import _equilibrium_root, _g1
 from ricker_lab.errors import BracketFailure, Infeasible, MaxIterExceeded
 
@@ -337,11 +338,12 @@ def _assert_near_pseudo_pair(r, h, x_star, y_star, rel=1e-9):
     assert abs(y_star - float(my)) <= rel * float(my)
 
 
-# u places r between r2 and h.  At either end the pair is ill-conditioned in
-# floats: at r2 it bifurcates off y_bar (error about 1e-16 / u), and as r
-# nears h the denominator 1 - e^{r-t} of g1 cancels, so u keeps 1e-3 away.
+# u places r between r2 and h.  At r2 the pair bifurcates off y_bar and is
+# ill-conditioned in floats (error about 1e-16 / u), so u keeps 1e-3 away
+# from there; as r nears h, g1 forms its denominator 1 - e^{r-t} with expm1,
+# which does not cancel, so u runs to within 1e-9 of 1.
 @settings(max_examples=100, deadline=None, database=None)
-@given(log_h=st.floats(math.log(1e-3), math.log(1e3)), u=st.floats(1e-3, 1.0 - 1e-3))
+@given(log_h=st.floats(math.log(1e-3), math.log(1e3)), u=st.floats(1e-3, 1.0 - 1e-9))
 def test_pseudo_pair_is_bracketed_and_matches_mpmath(log_h, u):
     h = math.exp(log_h)
     r2 = thresholds(h).r2
@@ -368,6 +370,40 @@ def test_pseudo_pair_closer_than_a_grid_cell():
     assert h < x_star < y_bar < y_star
     assert y_star - x_star < 0.02
     _assert_near_pseudo_pair(r, h, x_star, y_star)
+
+
+@pytest.mark.parametrize("r, h", [(0.009999999, 0.01), (0.009999999999, 0.01)])
+def test_pseudo_pair_as_r_nears_h(r, h):
+    # x* - r is about h - r, where 1 - e^{r-t} formed by subtraction keeps
+    # few digits: y* was 2.7e-8 and 2.3e-5 relative off there
+    x_star, _, y_star = _pseudo_pair(r, h)
+    _assert_near_pseudo_pair(r, h, x_star, y_star, rel=1e-15)
+
+
+def test_pseudo_pair_takes_fewer_evaluations_than_two_bisections(monkeypatch):
+    # Each evaluation of s(t) = g1(g1(t)) - t calls g1 twice.  Two full
+    # bisections of [h, y_bar] and [y_bar, g1(h)] cost 75 to 111 evaluations
+    # on these points; the two Newton solves take a median of 9, at most 28
+    g1 = constant._g1
+    calls = []
+    monkeypatch.setattr(constant, "_g1", lambda t, r, h: calls.append(t) or g1(t, r, h))
+    pairs = []
+    rng = np.random.default_rng(2024)
+    for log_h, u in zip(rng.uniform(math.log(1e-3), math.log(1e5), 200), rng.uniform(0.0, 1.0, 200)):
+        h = float(math.exp(log_h))
+        r2 = thresholds(h).r2
+        r = r2 + float(u) * (h - r2)
+        calls.clear()
+        find_intersections(ModelParams.constant(r, h))
+        # g1(h) once, then two evaluations for the end signs
+        pairs.append((len(calls) - 5) // 2)
+        halvings = []
+        below = lambda t: halvings.append(t) or g1(g1(t, r, h), r, h) > t
+        y_bar = _equilibrium_root(r, h)
+        bisect(below, h, y_bar)
+        bisect(below, y_bar, g1(h, r, h))
+        assert pairs[-1] < len(halvings), (r, h)
+    assert np.median(pairs) <= 12
 
 
 def test_pseudo_pair_with_h_within_rounding_of_r():

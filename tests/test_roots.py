@@ -2,7 +2,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from ricker_lab._roots import newton_2d
+from ricker_lab._roots import bisect, bracketed_newton, newton_2d
 from ricker_lab.periodic import _artificial_system
 
 
@@ -66,3 +66,47 @@ def test_newton_2d_at_a_root_evaluates_its_system_once():
     calls.clear()
     assert _halving_newton_2d(system, 1.0, 2.0) == (1.0, 2.0)
     assert len(calls) == 21
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(c=st.floats(0.01, 5.0), k=st.floats(0.1, 50.0), below=st.floats(1e-3, 40.0),
+       above=st.floats(1e-3, 40.0), start=st.floats(0.0, 1.0))
+def test_bracketed_newton_stays_inside_its_bracket(c, k, below, above, start):
+    # Newton on atan overshoots from far out, past the bracket and off to
+    # either side; every point after the start must still lie strictly
+    # inside the bracket the values before it give, and the solve ends at
+    # the sign change, as the bisection does
+    lo, hi = c - below, c + above
+    t = lo + start * (hi - lo)
+    points = []
+
+    def step(t):
+        points.append(t)
+        return math.atan(k * (c - t)), -k / (1.0 + (k * (c - t)) ** 2)
+
+    root = bracketed_newton(step, lo, hi, t)
+    a, b = lo, hi
+    for i, p in enumerate(points):
+        if i:
+            assert a < p < b
+        if math.atan(k * (c - p)) > 0.0:
+            a = p
+        else:
+            b = p
+    assert abs(root - c) <= 2.0 * math.ulp(c)
+    assert abs(root - bisect(lambda t: math.atan(k * (c - t)) > 0.0, lo, hi)) <= 2.0 * math.ulp(c)
+
+
+def test_bracketed_newton_halves_where_the_slope_is_zero():
+    # 2 - t^2 has slope 0 at the start 0: the first step is a halving
+    points = []
+
+    def step(t):
+        points.append(t)
+        return 2.0 - t * t, -2.0 * t
+
+    root = bracketed_newton(step, 0.0, 2.0, 0.0)
+    assert root == bisect(lambda t: 2.0 - t * t > 0.0, 0.0, 2.0)
+    assert abs(root - math.sqrt(2.0)) <= math.ulp(root)
+    assert points[1] == 1.0
+    assert len(points) < 10
