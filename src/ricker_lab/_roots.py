@@ -57,9 +57,12 @@ def bracketed_newton(step: Callable[[float], tuple[float, float]], lo: float, hi
         t = nxt
 
 
-def newton_2d(system: Callable[[float, float], tuple[float, ...]], x: float, y: float) -> tuple[float, float]:
+def newton_2d(
+    system: Callable[[float, float], tuple[float, ...]], x: float, y: float
+) -> tuple[float, float, tuple[float, ...]]:
     """Damped Newton from (x, y) on `system`, which returns the residuals and
-    Jacobian (r1, r2, j11, j12, j21, j22); returns the last accepted point.
+    Jacobian (r1, r2, j11, j12, j21, j22); returns the last accepted point
+    and `system`'s value there, so a caller need not evaluate it again.
 
     Each step is halved from 1 down to 1e-6 until |r1| + |r2| decreases; a
     trial that overflows counts as no decrease.  The loop ends after 60
@@ -69,8 +72,9 @@ def newton_2d(system: Callable[[float, float], tuple[float, ...]], x: float, y: 
     it would improve on, and so, since rounding is monotone, is that of
     every shorter step.
     """
-    r1, r2, j11, j12, j21, j22 = system(x, y)
+    values = system(x, y)
     for _ in range(60):
+        r1, r2, j11, j12, j21, j22 = values
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not math.isfinite(det):
             break
@@ -81,7 +85,7 @@ def newton_2d(system: Callable[[float, float], tuple[float, ...]], x: float, y: 
         while step > 1e-6:
             nx, ny = x - step * dx, y - step * dy
             if nx == x and ny == y:
-                return x, y
+                return x, y, values
             try:
                 trial = system(nx, ny)
             except OverflowError:
@@ -91,8 +95,7 @@ def newton_2d(system: Callable[[float, float], tuple[float, ...]], x: float, y: 
             step *= 0.5
         else:
             break
-        x, y = nx, ny
-        r1, r2, j11, j12, j21, j22 = trial
-        if abs(r1) + abs(r2) < 1e-14 * (1.0 + abs(x) + abs(y)):
+        x, y, values = nx, ny, trial
+        if abs(trial[0]) + abs(trial[1]) < 1e-14 * (1.0 + abs(x) + abs(y)):
             break
-    return x, y
+    return x, y, values

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._roots import newton_2d
-from .embedding import BoxRegion, build_folded_embedding, compatible_box
+from .embedding import BoxRegion, compatible_box
 from .errors import ContradictionDetected, NonConvergence, PreconditionViolated
-from .model import ModelParams, QuadPoint, planar_maps
+from .model import ModelParams, QuadPoint
 from .verdicts import (
     ClassificationVerdict,
     LocalVerdict,
@@ -169,8 +169,9 @@ def solve_two_cycle(params: ModelParams) -> TwoCycleReport:
     step meets a singular Jacobian.  Damped Newton (`newton_2d`) runs from
     (a, b) = (0, 0).
 
-    One more Newton step (da, db) finishes, applied in z's own floats as
-    d0 (1 - da) and d1 (1 - db), exact to first order in steps this small.
+    One more Newton step (da, db), from the residuals and Jacobian that
+    `newton_2d` returns with its point, finishes, applied in z's own floats
+    as d0 (1 - da) and d1 (1 - db), exact to first order in steps this small.
     Rounded into a instead, it would be lost: floats near a lie about
     |a| 2^-52 apart, so e^a can only move by that much of itself, about |a|
     ulps of z0 where h1 is small.  The step also carries the offsets past
@@ -199,8 +200,7 @@ def solve_two_cycle(params: ModelParams) -> TwoCycleReport:
     if not residual(hi) > 0.0:
         raise NonConvergence(f"2-cycle bracket failed for r={r}, h=({h0}, {h1}) at z0={hi}")
     system = lambda a, b: _offset_system(a, b, r, h0, h1)
-    a, b = newton_2d(system, 0.0, 0.0)
-    e1, e2, j11, j12, j21, j22 = system(a, b)
+    a, b, (e1, e2, j11, j12, j21, j22) = newton_2d(system, 0.0, 0.0)
     det = j11 * j22 - j12 * j21
     d0, d1 = math.exp(a), math.exp(b)
     if det > 0.0:
@@ -286,13 +286,17 @@ class ArtificialCycleSet:
 
     Each quadruple (x, y, u, v) pairs a root (x, y) of the reduced 2D system
     with its partner (u, v) = (F1(y, x), F0(x, y)); the partner's root is
-    listed as its own quadruple.  `grid` records the scan resolution: absence
-    of further roots is only established at that resolution.
+    listed as its own quadruple.  `count` is the number of quadruples, read
+    off `cycles`.  `grid` records the scan resolution: absence of further
+    roots is only established at that resolution.
     """
 
     cycles: tuple[QuadPoint, ...]
-    count: int
     grid: int
+
+    @property
+    def count(self) -> int:
+        return len(self.cycles)
 
 
 def _first_residual(X, Y, eX, eY, r: float, h0: float, h1: float):
@@ -401,50 +405,45 @@ def _artificial_system(x: float, y: float, r: float, h0: float, h1: float):
     )
 
 
-def _newton_polish_artificial(x: float, y: float, r: float, h0: float, h1: float):
-    """The polished root near (x, y), or None when its residual sum exceeds 1e-11."""
+def _artificial_cycles(params: ModelParams, cycle: TwoCycleReport, seeds, x_max: float, y_max: float):
+    """The artificial cycles Newton polishes from `seeds`, one at a time, in
+    seed order.
+
+    Each seed is polished with `newton_2d` on `_artificial_system`, and its
+    root is rejected where the residual sum exceeds 1e-11, where it lies
+    outside (h1, 1.01 x_max] x (h0, 1.01 y_max], or within 1e-6 of an earlier
+    admitted root, those near the 2-cycle included.  An admitted root
+    (x, y) within 1e-5 (1 + |z0| + |z1|) of the 2-cycle is skipped; any
+    other is yielded as the quadruple q = (x, y, Q, P), with
+    Q = F1(y, x) and P = F0(x, y), where the folded embedded map G1 o G0
+    fixes q to 1e-9.  G1 o G0 (see `embedding.build_folded_embedding`) is
+    written out in the float arithmetic of `model.RickerMap`:
+
+        G1 o G0 (q) = (F1(P, Q), F0(Q, P), F1(F0(Q, P), x), P),
+
+    whose last coordinate is q's own.
+    """
+    r, (h0, h1) = params.r, params.stocking
     system = lambda x, y: _artificial_system(x, y, r, h0, h1)
-    x, y = newton_2d(system, x, y)
-    r1, r2 = system(x, y)[:2]
-    if abs(r1) + abs(r2) > 1e-11:
-        return None
-    return x, y
-
-
-def _artificial_roots(seeds, r: float, h0: float, h1: float, x_max: float, y_max: float):
-    """The admissible roots Newton polishes from `seeds`, one at a time, in
-    seed order: above (h1, h0), within 1.01 times (x_max, y_max), and at
-    least 1e-6 from every earlier root, those near the 2-cycle included."""
+    scale = 1.0 + abs(cycle.z0) + abs(cycle.z1)
     roots: list[tuple[float, float]] = []
     for sx, sy in seeds:
-        sol = _newton_polish_artificial(sx, sy, r, h0, h1)
-        if sol is None:
+        x, y, (r1, r2, *_) = newton_2d(system, sx, sy)
+        if abs(r1) + abs(r2) > 1e-11:
             continue
-        x, y = sol
         if not (x > h1 and y > h0 and x <= 1.01 * x_max and y <= 1.01 * y_max):
             continue
         if any(abs(x - a) < 1e-6 and abs(y - b) < 1e-6 for a, b in roots):
             continue
         roots.append((x, y))
-        yield x, y
-
-
-def _artificial_quads(params: ModelParams, cycle: TwoCycleReport, roots):
-    """The artificial cycles among `roots`, one at a time, in their order:
-    the roots away from the 2-cycle whose quadruple the folded map fixes.
-    The folded map is built at the first root it has to check."""
-    scale = 1.0 + abs(cycle.z0) + abs(cycle.z1)
-    g10 = None
-    for x, y in roots:
         if abs(x - cycle.z0) + abs(y - cycle.z1) < 1e-5 * scale:
             continue
-        if g10 is None:
-            f0, f1 = planar_maps(params)
-            g10 = build_folded_embedding(f0, f1)
-        q = QuadPoint(x, y, f1(y, x), f0(x, y))
-        if max(abs(a - b) for a, b in zip(g10(q), q)) > 1e-9:
+        P = x * math.exp(r - y) + h0
+        Q = y * math.exp(r - x) + h1
+        gy = Q * math.exp(r - P) + h0
+        if max(abs(P * math.exp(r - Q) + h1 - x), abs(gy - y), abs(gy * math.exp(r - x) + h1 - Q)) > 1e-9:
             continue
-        yield q
+        yield QuadPoint(x, y, Q, P)
 
 
 def _scan_seeds(schedules: list[ModelParams], grid: int) -> list[tuple[Iterator, float, float]]:
@@ -480,11 +479,13 @@ def find_artificial_cycles(
 
     Scans the trapping rectangle (h1, x_max] x (h0, y_max] on a geometric
     grid x grid lattice, seeds Newton wherever both residual surfaces R1 and
-    R2 (see `_first_residual`) change sign across a cell, deduplicates at 1e-6,
-    and drops roots within 1e-5 (1 + z0 + z1) of the 2-cycle.  The 2-cycle
-    is a root of both surfaces, but it is not a Newton seed: its root would
-    come last and fall to that filter.  An empty set is a valid outcome and
-    is what global-stability certification requires.  `cycle` is the solved
+    R2 (see `_first_residual`) change sign across a cell, and keeps each
+    polished root that `_artificial_cycles` admits: deduplicated at 1e-6,
+    away from the 2-cycle by 1e-5 (1 + z0 + z1), and fixed by the folded
+    map.  The quadruples are sorted, which orders them by their roots.  The
+    2-cycle is a root of both surfaces, but it is not a Newton seed: its
+    root would come last and fall to the 2-cycle filter.  An empty set is a
+    valid outcome and is what global-stability certification requires.  `cycle` is the solved
     2-cycle of params, for a caller that already has it; it is solved here
     otherwise, with the same result.
 
@@ -506,10 +507,8 @@ def find_artificial_cycles(
         raise ValueError(f"the artificial-cycle scan needs grid >= 2, got {grid}")
     if cycle is None:
         cycle = solve_two_cycle(params)
-    [(seeds, x_max, y_max)] = _scan_seeds([params], grid)
-    roots = sorted(_artificial_roots(seeds, params.r, *params.stocking, x_max, y_max))
-    quads = tuple(_artificial_quads(params, cycle, roots))
-    return ArtificialCycleSet(cycles=quads, count=len(quads), grid=grid)
+    [scan] = _scan_seeds([params], grid)
+    return ArtificialCycleSet(cycles=tuple(sorted(_artificial_cycles(params, cycle, *scan))), grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +549,8 @@ def _witness_box(params: ModelParams, report: TwoCycleReport) -> BoxRegion | Non
       each e^{r-.} that the seed search, the polish and the fixed-point
       check evaluate is at most 1, and each value stays finite.
     - `newton_2d` catches the overflow of its trial steps, and the polish
-      re-evaluates only the point it accepted.
+      reads the residuals `newton_2d` returns with the point it accepted
+      rather than evaluating the system again.
     """
     return compatible_box(params, min(report.z0, report.z1), max(report.z0, report.z1))
 
@@ -638,12 +638,13 @@ def _sweep_tags(cells: Iterable[tuple], grid: int) -> Iterator[tuple[ModelParams
     cells follow.  Past the box nothing raises (see `_witness_box`), so the
     chunk's tags follow in order.
 
-    A sweep row prints only the tag, so each certifiable cell's scan stops at
-    its first artificial cycle, and the verdict is taken from a set holding
-    that cycle or none.  The roots come in seed order rather than sorted, but
-    they are the same roots, each deduplicated against the same earlier ones,
-    so the set is empty exactly when `find_artificial_cycles` finds nothing,
-    and `_periodic_verdict` gives the same tag.
+    A sweep row prints only the tag, so each certifiable cell takes only
+    the first quadruple `_artificial_cycles` yields, and its polish stops
+    there; the verdict is taken from a set holding that cycle or none.  The
+    cycles come in seed order rather than sorted, but each seed passes the
+    same checks, against the same earlier roots, as in
+    `find_artificial_cycles`, so the set is empty exactly when that finds
+    nothing, and `_periodic_verdict` gives the same tag.
     """
     cells = iter(cells)
     chunk = max(1, _SCAN_ELEMENTS // grid)
@@ -658,8 +659,6 @@ def _sweep_tags(cells: Iterable[tuple], grid: int) -> Iterator[tuple[ModelParams
         for params, report, certifiable, box in batch:
             art = None
             if certifiable:
-                seeds, x_max, y_max = next(scans)
-                roots = _artificial_roots(seeds, params.r, *params.stocking, x_max, y_max)
-                first = tuple(itertools.islice(_artificial_quads(params, report, roots), 1))
-                art = ArtificialCycleSet(cycles=first, count=len(first), grid=grid)
+                first = itertools.islice(_artificial_cycles(params, report, *next(scans)), 1)
+                art = ArtificialCycleSet(cycles=tuple(first), grid=grid)
             yield params, report, _periodic_verdict(report, box, art, grid).tag

@@ -1,3 +1,4 @@
+import collections
 import csv
 import hashlib
 import io
@@ -592,28 +593,59 @@ def test_readme_periodic_sweep_is_byte_identical(tmp_path):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == _README_PERIODIC_SHA256
 
 
+def _count_newton_calls(monkeypatch):
+    # calls of `periodic`'s two Newton systems and of its newton_2d; a
+    # newton_2d call that evaluates the artificial system is a polish
+    calls = collections.Counter()
+    for name in ("_artificial_system", "_offset_system"):
+        def counted(*args, system=getattr(periodic, name), name=name):
+            calls[name] += 1
+            return system(*args)
+        monkeypatch.setattr(periodic, name, counted)
+    newton = periodic.newton_2d
+
+    def counted_newton(system, x, y):
+        before = calls["_artificial_system"]
+        out = newton(system, x, y)
+        calls["newton_2d"] += 1
+        calls["polish"] += calls["_artificial_system"] > before
+        return out
+
+    monkeypatch.setattr(periodic, "newton_2d", counted_newton)
+    return calls
+
+
+def _certifiable_readme_cells():
+    axis = np.linspace(0.3, 3.0, 40).tolist()
+    return [ModelParams(r=1.0, stocking=(h0, h1)) for h0 in axis for h1 in axis if h0 != h1 and min(h0, h1) >= 1.0]
+
+
 def test_periodic_sweep_stops_each_polish_at_the_first_artificial_cycle(capsys, monkeypatch):
     # on the README plane the 174 AbsorbingBox cells need only their first
     # artificial cycle, and the 638 GloballyStable ones every seed
-    polished = []
-    polish = periodic._newton_polish_artificial
-
-    def counting_polish(*args):
-        polished.append(args)
-        return polish(*args)
-
-    monkeypatch.setattr(periodic, "_newton_polish_artificial", counting_polish)
+    calls = _count_newton_calls(monkeypatch)
     code, out, _ = run(capsys, *_README_PERIODIC_SWEEP)
     assert code == 0
     assert out.count(",AbsorbingBox,") == 174 and out.count(",GloballyStable,") == 638
-    assert len(polished) == 2179
-    polished.clear()
-    axis = np.linspace(0.3, 3.0, 40).tolist()
-    for h0 in axis:
-        for h1 in axis:
-            if h0 != h1 and min(h0, h1) >= 1.0:
-                periodic.find_artificial_cycles(ModelParams(r=1.0, stocking=(h0, h1)), 128)
-    assert len(polished) == 4694
+    assert calls["polish"] == 2179
+    calls.clear()
+    for params in _certifiable_readme_cells():
+        periodic.find_artificial_cycles(params, 128)
+    assert calls["polish"] == 4694
+
+
+def test_newton_end_points_are_not_evaluated_again(capsys, monkeypatch):
+    # each polish and each 2-cycle solve reads the residuals newton_2d
+    # returns with its point: on the README plane that saves one
+    # evaluation per polish (2179) and one per solve (1560)
+    calls = _count_newton_calls(monkeypatch)
+    assert run(capsys, *_README_PERIODIC_SWEEP)[0] == 0
+    assert calls["newton_2d"] == 3739
+    assert (calls["_artificial_system"], calls["_offset_system"]) == (12724, 8878)
+    calls.clear()
+    for params in _certifiable_readme_cells():
+        periodic.find_artificial_cycles(params, 128)
+    assert calls["_artificial_system"] == 28082
 
 
 def test_failing_periodic_sweep_reports_its_first_failing_cell(capsys):

@@ -203,7 +203,7 @@ def _dense_cycle_roots(r, h0, h1, n_grid=4096):
         lo, hi = float(grid[i]), float(grid[i + 1])
         flo = _reduced_residual(lo, r, h0, h1, y_max)
         z0 = bisect(lambda t: flo * _reduced_residual(t, r, h0, h1, y_max) > 0.0, lo, hi)
-        z0, z1 = newton_2d(system, z0, _reduced_z1(z0, r, h1))
+        z0, z1, _ = newton_2d(system, z0, _reduced_z1(z0, r, h1))
         q1, q2 = _cycle_residuals(z0, z1, r, h0, h1)
         if max(abs(q1), abs(q2)) < 1e-10 and z0 > h1 and z1 > h0:
             if not any(abs(z0 - a) < 1e-6 and abs(z1 - b) < 1e-6 for a, b in roots):
@@ -283,7 +283,7 @@ def _full_bisection_two_cycle(r, h0, h1):
     if not (residual(lo) < 0.0 and residual(hi) > 0.0):
         return None
     z0 = bisect(lambda t: residual(t) < 0.0, lo, hi)
-    z0, z1 = newton_2d(lambda z0, z1: _cycle_system(z0, z1, r, h0, h1), z0, _reduced_z1(z0, r, h1))
+    z0, z1, _ = newton_2d(lambda z0, z1: _cycle_system(z0, z1, r, h0, h1), z0, _reduced_z1(z0, r, h1))
     q1, q2 = _cycle_residuals(z0, z1, r, h0, h1)
     if not (max(abs(q1), abs(q2)) < 1e-10 and z0 > h1 and z1 > h0):
         return None
@@ -628,19 +628,21 @@ def test_seed_cells_match_the_full_grid_on_the_readme_plane():
 
 def _reference_artificial_cycles(params, grid, cycle):
     # the polish loop as it was before the scan was batched: seeds from the
-    # full lattice plus the 2-cycle itself as the last seed, and the folded
-    # map built whether or not a root is left
+    # full lattice plus the 2-cycle itself as the last seed, each polish's
+    # residual evaluated afresh, and the folded map built by
+    # `build_folded_embedding` whether or not a root is left
     r, (h0, h1) = params.r, params.stocking
     x_max, y_max = _orbit_bounds(r, h0, h1)
     xs, ys = _scan_axes(r, h0, h1, grid)
     seeds = [(float(xs[i]), float(ys[j])) for i, j in _dense_seed_cells(xs, ys, r, h0, h1)]
     seeds.append((cycle.z0, cycle.z1))
+    system = lambda x, y: periodic._artificial_system(x, y, r, h0, h1)
     roots = []
     for sx, sy in seeds:
-        sol = periodic._newton_polish_artificial(sx, sy, r, h0, h1)
-        if sol is None:
+        x, y, _ = newton_2d(system, sx, sy)
+        r1, r2 = system(x, y)[:2]
+        if abs(r1) + abs(r2) > 1e-11:
             continue
-        x, y = sol
         if not (x > h1 and y > h0 and x <= 1.01 * x_max and y <= 1.01 * y_max):
             continue
         if any(abs(x - a) < 1e-6 and abs(y - b) < 1e-6 for a, b in roots):
@@ -657,7 +659,7 @@ def _reference_artificial_cycles(params, grid, cycle):
         if max(abs(a - b) for a, b in zip(g10(q), q)) > 1e-9:
             continue
         quads.append(q)
-    return periodic.ArtificialCycleSet(cycles=tuple(quads), count=len(quads), grid=grid)
+    return periodic.ArtificialCycleSet(cycles=tuple(quads), grid=grid)
 
 
 def test_artificial_cycles_match_the_reference_polish_on_the_readme_plane():

@@ -1,9 +1,11 @@
 import math
+import struct
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ricker_lab._roots import bisect, bracketed_newton, newton_2d
-from ricker_lab.periodic import _artificial_system
+from ricker_lab.periodic import _artificial_system, _offset_system
 
 
 def _halving_newton_2d(system, x, y):
@@ -52,7 +54,7 @@ def test_newton_2d_that_stops_halving_at_a_trial_that_rounds_back_returns_the_sa
             return _artificial_system(x, y, r, h0, h1)
         return system
 
-    assert newton_2d(counted(0), x, y) == _halving_newton_2d(counted(1), x, y)
+    assert newton_2d(counted(0), x, y)[:2] == _halving_newton_2d(counted(1), x, y)
     assert calls[0] <= calls[1]
 
 
@@ -61,11 +63,84 @@ def test_newton_2d_at_a_root_evaluates_its_system_once():
     # the start is evaluated, where the halving evaluated 20 trials after it
     calls = []
     system = lambda x, y: calls.append((x, y)) or (x - 1.0, y - 2.0, 1.0, 0.0, 0.0, 1.0)
-    assert newton_2d(system, 1.0, 2.0) == (1.0, 2.0)
+    assert newton_2d(system, 1.0, 2.0) == (1.0, 2.0, (0.0, 0.0, 1.0, 0.0, 0.0, 1.0))
     assert len(calls) == 1
     calls.clear()
     assert _halving_newton_2d(system, 1.0, 2.0) == (1.0, 2.0)
     assert len(calls) == 21
+
+
+def _bits(values):
+    return struct.pack("6d", *values)
+
+
+def _newton_2d_exit(system, x, y):
+    # newton_2d's point and values, with how its loop ended, read off its
+    # evaluations: each one that sets a new least |r1| + |r2| is an accepted
+    # step, since a trial is accepted exactly when it beats the current point,
+    # and the residual test runs only after a step
+    evaluated = []
+
+    def recording(x, y):
+        values = system(x, y)
+        evaluated.append(abs(values[0]) + abs(values[1]))
+        return values
+
+    x, y, values = newton_2d(recording, x, y)
+    steps = sum(e < min(evaluated[:i]) for i, e in enumerate(evaluated) if i)
+    r1, r2, j11, j12, j21, j22 = values
+    det = j11 * j22 - j12 * j21
+    if steps and abs(r1) + abs(r2) < 1e-14 * (1.0 + abs(x) + abs(y)):
+        end = "converged"
+    elif steps == 60:
+        end = "cap"
+    elif det == 0.0 or not math.isfinite(det):
+        end = "singular"
+    else:
+        dx, dy = (r1 * j22 - r2 * j12) / det, (r2 * j11 - r1 * j21) / det
+        rounds = any(x - 0.5**k * dx == x and y - 0.5**k * dy == y for k in range(20))
+        end = "rounds back" if rounds else "no decrease"
+    return x, y, values, end
+
+
+_SYSTEMS = {"offset": _offset_system, "artificial": _artificial_system}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_SYSTEMS)), r=st.floats(0.05, 4.0), h0=st.floats(0.0, 6.0),
+       h1=st.floats(0.0, 6.0), x=st.floats(0.0, 12.0), y=st.floats(0.0, 12.0))
+def test_newton_2d_returns_the_system_value_at_its_point(name, r, h0, h1, x, y):
+    # the value newton_2d returns is the one its system gives at the point it
+    # returns, bit for bit, so a caller can read it instead of evaluating again
+    system = lambda x, y: _SYSTEMS[name](x, y, r, h0, h1)
+    if name == "offset":
+        x, y = x - 10.0, y - 10.0
+    x, y, values, _ = _newton_2d_exit(system, x, y)
+    assert _bits(values) == _bits(system(x, y))
+
+
+@pytest.mark.parametrize("name, point, start, end", [
+    ("offset", (40.0, 1.0, 2.0), (0.0, 0.0), "converged"),
+    # the point newton_2d returns from (0, 0) at (40, 1, 2): its Newton step
+    # is below the float spacing of a and b
+    ("offset", (40.0, 1.0, 2.0), (3.6389171176766504, 3.664225987426484), "rounds back"),
+    # with h0 = h1 = 0, 1 + e^a and 1 + e^b round to 1 and det to 0
+    ("offset", (1.0, 0.0, 0.0), (-40.0, -40.0), "singular"),
+    # e^a dominates E1 and E2, so each step moves a and b by about 1
+    ("offset", (1.0, 0.5, 0.8), (300.0, 300.0), "cap"),
+    ("artificial", (1.0, 2.0, 1.0), (1.805722382861676, 1.7473821459601313), "converged"),
+    # (0, 0) is a root at h0 = h1 = 0: the first step is zero
+    ("artificial", (1.0, 0.0, 0.0), (0.0, 0.0), "rounds back"),
+    # with y = h1 = 0, j21 = 0, and this h0 makes e^{2r - x - P} round to 1, so j22 = 0
+    ("artificial", (1.0, 2.0 - 0.5 - 0.5 * math.e, 0.0), (0.5, 0.0), "singular"),
+    ("artificial", (1.7173604735517336, 0.17424472544920766, 1.3301499976382103),
+     (5.254651123806864, 5.949746896582208), "cap"),
+])
+def test_newton_2d_returns_the_system_value_at_its_point_on_every_exit(name, point, start, end):
+    system = lambda x, y: _SYSTEMS[name](x, y, *point)
+    x, y, values, got = _newton_2d_exit(system, *start)
+    assert got == end
+    assert _bits(values) == _bits(system(x, y))
 
 
 @settings(max_examples=300, deadline=None, database=None)
