@@ -33,13 +33,20 @@ def bracketed_newton(step: Callable[[float], tuple[float, float]], lo: float, hi
     the `lo` side of the root, as `below` does for `bisect`, and each
     evaluation moves that side's end of the bracket to t.  A Newton step
     that does not land strictly inside the bracket, or is more than half the
-    step before the last one, is replaced by the bracket's midpoint.  Like
-    `bisect` it ends on float resolution: at a Newton step that rounds back
-    to t, returning t, or at a midpoint with no float strictly inside the
-    bracket, returning that midpoint.  Every point after the first lies
-    strictly inside the bracket, which so shrinks with each evaluation.
+    step before the last one, is replaced by the bracket's midpoint.  Where
+    Newton reaches the rounding band of the function from one side, its
+    steps stop shrinking while the far end of the bracket is still where
+    the first steps left it; so a Newton step that lands inside the bracket
+    but fails to shrink is first replaced by twice itself, which steps past
+    the root and closes the bracket about it, and a second such step in a
+    row by the midpoint.  Like `bisect` it ends on float resolution: at a
+    Newton step that rounds back to t, returning t, or at a midpoint with no
+    float strictly inside the bracket, returning that midpoint.  Every point
+    after the first lies strictly inside the bracket, which so shrinks with
+    each evaluation, and of any two replaced steps in a row one halves it.
     """
     last = older = hi - lo
+    probed = False
     while True:
         value, slope = step(t)
         if value > 0.0:
@@ -50,9 +57,13 @@ def bracketed_newton(step: Callable[[float], tuple[float, float]], lo: float, hi
         if nxt == t:
             return t
         if not lo < nxt < hi or 2.0 * abs(nxt - t) > abs(older):
-            nxt = 0.5 * (lo + hi)
+            past = 2.0 * nxt - t
+            probed = not probed and lo < past < hi
+            nxt = past if probed else 0.5 * (lo + hi)
             if not lo < nxt < hi:
                 return nxt
+        else:
+            probed = False
         older, last = last, nxt - t
         t = nxt
 

@@ -100,21 +100,6 @@ def _cycle_residuals(z0: float, z1: float, r: float, h0: float, h1: float) -> tu
     return z1 * math.exp(r - z0) + h1 - z0, z0 * math.exp(r - z1) + h0 - z1
 
 
-def _reduced_z1(z0: float, r: float, h1: float) -> float:
-    """z1 = (z0 - h1) e^{z0 - r}, from the first cycle equation."""
-    s = math.log(z0 - h1) + z0 - r
-    return math.exp(s) if s < 690.0 else math.inf
-
-
-def _reduced_residual(z0: float, r: float, h0: float, h1: float, y_max: float) -> float:
-    """The second cycle equation at (z0, z1(z0)); 1e18 where z1 overflows or
-    leaves ten times the trapping bound."""
-    z1 = _reduced_z1(z0, r, h1)
-    if not math.isfinite(z1) or z1 > 10.0 * y_max:
-        return 1e18
-    return z1 - h0 - z0 * math.exp(r - z1)
-
-
 def _offset_system(a: float, b: float, r: float, h0: float, h1: float):
     """The 2-cycle equations E1, E2 in the log offsets a = log(z0 - h1) and
     b = log(z1 - h0), with their Jacobian in (a, b) (see `solve_two_cycle`).
@@ -125,7 +110,9 @@ def _offset_system(a: float, b: float, r: float, h0: float, h1: float):
     E2.  Either way each equation carries the rounding of its smaller terms:
     near the diagonal at small r and h, a and b are both about log r, while
     every other term is about r.  e^{-a} or e^{-b} overflows only on a trial
-    step, which `newton_2d` then rejects.
+    step, which `newton_2d` then rejects; where the root's own a or b lies
+    below about -709.78, every step towards it overflows, and the solve
+    stops short and fails its checks.
     """
     ea, eb = math.exp(a), math.exp(b)
     w0, w1 = h0 * math.exp(-b), h1 * math.exp(-a)
@@ -147,16 +134,11 @@ def solve_two_cycle(params: ModelParams) -> TwoCycleReport:
 
     because d0 <= z0 and d1 <= z1.  Every zero is a strict upward crossing,
     so between two of them F would have to cross downwards: there is at most
-    one.  As z0 falls to h1, F tends to -h0 - h1 e^r < 0.  The zero lies
-    below hi = min(x_max, max(h1 + 2, r + log(y_max + 1) + 2)):
-    z0 - h1 = h0 e^{r-z0} + z0 e^{-z0} e^{2r-z1} < h0 e^r + e^{2r}, so
-    z0 < x_max, and likewise z1 < y_max, so for z0 >= r + log(y_max + 1) + 2
-    the offset z0 - h1 = z1 e^{r-z0} is below 1.  The solve checks F < 0 at
-    nextafter(h1) and F > 0 at hi in floats.  Where h1 is far above r, z0 - h1
-    can lie below the float resolution of h1; F is then already positive at
-    the lower end, and the solve raises NonConvergence.
+    one.  As z0 falls to h1, F tends to -h0 - h1 e^r < 0, and as z0 grows,
+    z1 grows without bound, z0 e^{r - z1} tends to 0 and F to +inf: there
+    is one.
 
-    The cycle is then solved in its log offsets a = log d0 and b = log d1.
+    The cycle is solved in its log offsets a = log d0 and b = log d1.
     The logs of d0 = z1 e^{r - z0} and d1 = z0 e^{r - z1} read
 
         E1 = a + e^a + h1 - r - log(h0 + e^b) = 0,
@@ -183,22 +165,22 @@ def solve_two_cycle(params: ModelParams) -> TwoCycleReport:
     needs e^a, e^b, h0 e^{-b} and h1 e^{-a} all below 2^-53, the step is
     skipped and the residual check decides.
 
-    The solve raises NonConvergence where the pair fails the residual check
-    or is not above (h1, h0) in floats, and where it breaks the ordering law
-    by more than its float resolution.
+    The solve admits the pair where both offsets d0 and d1 are positive, and
+    reports z0 = h1 + d0 and z1 = h0 + d1, each the sum rounded once.  Where
+    h1 is far above r, d0 can lie below half an ulp of h1 (at r = 40,
+    h = (90, 91) it is about 6.4e-21), and z0 then reads h1: that is the
+    correctly rounded value of the cycle's coordinate, while Det and Tr are
+    formed from the offsets and keep their digits.  The solve raises
+    NonConvergence where the pair fails the residual check, where an offset
+    is not positive in floats (it underflows to 0 once z0 - r passes about
+    745 + log z1, and Newton stops short of a or b below about -709.78, see
+    `_offset_system`), and where it breaks the ordering law by more than its
+    float resolution.  The trapping bounds of `_orbit_bounds` guard the
+    range: where they overflow, above r of about 355, it raises
+    PreconditionViolated before an exp of the residuals could overflow.
     """
     r, h0, h1 = _require_two_periodic(params)
-    x_max, y_max = _orbit_bounds(r, h0, h1)
-    residual = lambda z0: _reduced_residual(z0, r, h0, h1, y_max)
-    lo = math.nextafter(h1, math.inf)
-    hi = min(x_max, max(h1 + 2.0, r + math.log(y_max + 1.0) + 2.0))
-    if not residual(lo) < 0.0:
-        raise NonConvergence(
-            f"no 2-cycle resolvable for r={r}, h=({h0}, {h1}): z0 - h1 lies below "
-            f"the float resolution of h1={h1}"
-        )
-    if not residual(hi) > 0.0:
-        raise NonConvergence(f"2-cycle bracket failed for r={r}, h=({h0}, {h1}) at z0={hi}")
+    _orbit_bounds(r, h0, h1)
     system = lambda a, b: _offset_system(a, b, r, h0, h1)
     a, b, (e1, e2, j11, j12, j21, j22) = newton_2d(system, 0.0, 0.0)
     det = j11 * j22 - j12 * j21
@@ -211,10 +193,10 @@ def solve_two_cycle(params: ModelParams) -> TwoCycleReport:
         raise NonConvergence(
             f"2-cycle polish for r={r}, h=({h0}, {h1}) left residuals ({q1}, {q2})"
         )
-    if not (z0 > h1 and z1 > h0):
+    if not (d0 > 0.0 and d1 > 0.0):
         raise NonConvergence(
-            f"no 2-cycle resolvable for r={r}, h=({h0}, {h1}): the solved pair ({z0}, {z1}) "
-            "is not above (h1, h0), so z0 - h1 or z1 - h0 lies below the float resolution"
+            f"no 2-cycle resolvable for r={r}, h=({h0}, {h1}): its offsets "
+            f"z0 - h1 = {d0} and z1 - h0 = {d1} are not both positive in floats"
         )
     # a misorder within the pair's float resolution is rounding: with both
     # residuals under _RESIDUAL_TOL, it forces |h0 - h1| below about twice
@@ -537,11 +519,12 @@ def _witness_box(params: ModelParams, report: TwoCycleReport) -> BoxRegion | Non
     - The seed search takes the trapping bounds the solve already took, and
       the log10 of x_max - h1 and y_max - h0.  In reals each difference is
       at least e^{2r} > 1, so in floats it is positive unless h1 (or h0) is
-      at least 2^53.  There z0 > h1 in floats puts z0 at least 2 above h1,
-      e^{r-z0} underflows to 0 (r is below 355, or the bounds would have
-      overflowed), and the first cycle residual
-      z1 e^{r-z0} + h1 - z0 could not have passed the solve's check;
-      likewise for h0 with z1.
+      at least 2^53.  But the solve admits only offsets positive in floats,
+      and d0 = z1 e^{r-z0} underflows to 0 once z0 - r passes about
+      745 + log z1, as d1 does once z1 - r passes 745 + log z0.  So the
+      larger M of z0 and z1 has M < r + 745 + log M, and with r below 355
+      (or the bounds would have overflowed) M, and h0 and h1 with it, lies
+      below about 1110, far under 2^53.
     - With min(h0, h1) >= r every lattice point has x >= h1 >= r and
       y >= h0 >= r, and so does every admitted root, with x > h1 and y > h0.
       Then P = x e^{r-y} + h0 >= r and Q = y e^{r-x} + h1 >= r, and the

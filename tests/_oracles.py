@@ -93,11 +93,14 @@ def mp_two_cycle_offsets(r, h0, h1, z0, z1) -> tuple[mp.mpf, mp.mpf]:
 
         a + e^a + h1 - r - log(h0 + e^b) = 0,  b + e^b + h0 - r - log(h1 + e^a) = 0,
 
-    started at the float pair (z0, z1).  It stays well conditioned where
+    started from the float pair (z0, z1) at a = log z1 + r - z0 and
+    b = log z0 + r - z1, the logs of the offsets the cycle equations give,
+    which stay finite where z0 rounds to h1.  It stays well conditioned where
     z0 - h1 lies far below h1, where the scalar reduction's slope is huge."""
     r, h0, h1 = mp.mpf(r), mp.mpf(h0), mp.mpf(h1)
+    z0, z1 = mp.mpf(z0), mp.mpf(z1)
     E = lambda a, b: [a + mp.e**a + h1 - r - mp.log(h0 + mp.e**b), b + mp.e**b + h0 - r - mp.log(h1 + mp.e**a)]
-    a, b = mp.findroot(E, (mp.log(mp.mpf(z0) - h1), mp.log(mp.mpf(z1) - h0)))
+    a, b = mp.findroot(E, (mp.log(z1) + r - z0, mp.log(z0) + r - z1))
     return h1 + mp.e**a, h0 + mp.e**b
 
 

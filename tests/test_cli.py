@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -32,7 +33,7 @@ from ricker_lab import (
 from ricker_lab.cli import main
 from ricker_lab.errors import NonConvergence, WitnessConstructionFailed
 
-from _oracles import strict_witness
+from _oracles import mp_two_cycle_offsets, strict_witness
 
 
 def run(capsys, *argv):
@@ -259,16 +260,26 @@ def test_periodic_trapping_bound_overflow_is_a_typed_error(capsys, argv, r):
     assert "trapping bounds overflow" in err and "Traceback" not in err
 
 
-# h1 far above r: z0 - h1 = z1 e^{r - z0} is below the float resolution of
-# h1, about 6e-21 against 1.4e-14 at h1 = 91; from h1 = 2^23 on the 2-cycle
-# solve used to take log(0) and exit 2 with a math domain error
-@pytest.mark.parametrize("point", [("40", "90", "91"), ("1", "2", "1e8")])
+# h1 far above r: z0 - h1 = z1 e^{r - z0} lies below the float resolution
+# of h1, about 6.4e-21 against 1.4e-14 at h1 = 91, so z0 reads h1, the
+# correctly rounded coordinate, while Det = (z0 - h1)(z1 - h0) keeps the
+# offsets' digits; both commands used to exit 3 here
+@pytest.mark.parametrize("point", [("40", "90", "91"), ("30", "70", "75")])
 @pytest.mark.parametrize("command", ["two-cycle", "certify"])
-def test_two_cycle_offset_below_float_resolution_is_a_typed_error(capsys, command, point):
-    r, h0, h1 = point
-    code, out, err = run(capsys, command, "--r", r, "--h0", h0, "--h1", h1)
-    assert code == 3 and out == ""
-    assert "z0 - h1 lies below the float resolution of h1" in err and "Traceback" not in err
+def test_two_cycle_offset_below_float_resolution_gets_a_verdict(capsys, command, point):
+    r, h0, h1 = (float(v) for v in point)
+    code, out, err = run(capsys, command, "--r", point[0], "--h0", point[1], "--h1", point[2], "--json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert (doc["z0"], doc["z1"]) == (h1, h0)
+    if command == "certify":
+        assert (doc["verdict"], doc["local"]) == ("GloballyStable", "LAS")
+        return
+    with mp.workdps(60):
+        z0, z1 = mp_two_cycle_offsets(r, h0, h1, h1, h0)
+        det = (z0 - h1) * (z1 - h0)
+        assert abs(doc["det"] - det) <= 1e-12 * det
+    assert doc["verdict"] == "LAS"
 
 
 def test_orbit_csv_single_row(capsys):
@@ -649,13 +660,14 @@ def test_newton_end_points_are_not_evaluated_again(capsys, monkeypatch):
 
 
 def test_failing_periodic_sweep_reports_its_first_failing_cell(capsys):
-    # cell (90, 90) is degenerate and (90, 91) is the first that fails
-    code, out, err = run(capsys, "sweep", "--mode", "periodic", "--r", "40",
-                         "--h0-lo", "90", "--h0-hi", "91", "--nh0", "2",
-                         "--h1-lo", "90", "--h1-hi", "91", "--nh1", "2")
+    # cell (2, 2) is degenerate and (2, 1e8) is the first that fails: its
+    # 2-cycle solve stops short of the root and fails the residual check
+    code, out, err = run(capsys, "sweep", "--mode", "periodic", "--r", "1",
+                         "--h0-lo", "2", "--h0-hi", "1e8", "--nh0", "2",
+                         "--h1-lo", "2", "--h1-hi", "1e8", "--nh1", "2")
     assert code == 3 and out == ""
-    assert err == ("numeric failure: no 2-cycle resolvable for r=40.0, h=(90.0, 91.0): "
-                   "z0 - h1 lies below the float resolution of h1=91.0\n")
+    assert err.startswith("numeric failure: 2-cycle polish for r=1.0, h=(2.0, 100000000.0) left residuals")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cert_fails, solve_fails", [((1.5, 2.0), (2.0, 1.5)), ((2.0, 1.5), (1.5, 2.0))])

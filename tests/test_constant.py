@@ -406,6 +406,54 @@ def test_pseudo_pair_takes_fewer_evaluations_than_two_bisections(monkeypatch):
     assert np.median(pairs) <= 12
 
 
+def _solve_evaluations(monkeypatch):
+    # the evaluations of s in each bracketed Newton solve, one list per solve
+    solves = []
+    solve = constant.bracketed_newton
+
+    def counting(step, lo, hi, t):
+        solves.append(0)
+
+        def counted(t):
+            solves[-1] += 1
+            return step(t)
+
+        return solve(counted, lo, hi, t)
+
+    monkeypatch.setattr(constant, "bracketed_newton", counting)
+    return solves
+
+
+def test_pseudo_pair_steps_past_the_root_instead_of_halving(monkeypatch):
+    # Newton reaches y*'s rounding band from above, and its steps stop
+    # shrinking 3e-15 short of y* with the lower end of the bracket still at
+    # y_bar; halving [3.95, 6.09] from there took 51 evaluations, 59 in all
+    solves = _solve_evaluations(monkeypatch)
+    r, h = 2.449062634229205, 3.0662523938765105
+    x_star, _, y_star = _pseudo_pair(r, h)
+    assert solves == [6, 11]
+    _assert_near_pseudo_pair(r, h, x_star, y_star, rel=1e-15)
+
+
+def test_pseudo_pair_evaluations_on_seeded_box_regime_points(monkeypatch):
+    # both solves together: a median of 7 evaluations, as before the step
+    # past the root, and at most 34, where halving the bracket from the
+    # rounding band took up to 62; what remains above 30 (3 of these
+    # points) is Newton's slow approach near r2, where x*, y_bar and y*
+    # close up
+    solves = _solve_evaluations(monkeypatch)
+    rng = np.random.default_rng(2024)
+    pairs = []
+    for log_h, u in zip(rng.uniform(math.log(1e-3), math.log(1e5), 5000), rng.uniform(0.0, 1.0, 5000)):
+        h = float(math.exp(log_h))
+        r2 = thresholds(h).r2
+        solves.clear()
+        find_intersections(ModelParams.constant(r2 + float(u) * (h - r2), h))
+        pairs.append(sum(solves))
+    assert np.median(pairs) == 7
+    assert max(pairs) <= 34
+
+
 def test_pseudo_pair_with_h_within_rounding_of_r():
     # e^{r-h} rounds to 1, so g1(h) is infinite and there is no upper bracket
     with pytest.raises(BracketFailure, match="g1"):

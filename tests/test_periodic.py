@@ -36,8 +36,6 @@ from ricker_lab.periodic import (
     _first_residual,
     _geomspace,
     _orbit_bounds,
-    _reduced_residual,
-    _reduced_z1,
     _seed_cells,
 )
 
@@ -170,6 +168,40 @@ def test_two_cycle_within_two_ulps_of_mpmath():
             ulps = float(abs(mp.mpf(got) - want)) / math.ulp(float(want))
             assert ulps <= 2.0, ((r, h0, h1), got, want)
     assert verdicts == {LocalVerdict.LAS, LocalVerdict.UNSTABLE}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known fault: at tiny r the offset solve stops far from the cycle, "
+    "and the absolute residual check passes it",
+)
+def test_two_cycle_at_tiny_r_lies_within_two_ulps_of_a_60_digit_root():
+    # the cycle at r = 1e-30, h = (0, 1e-31) sits next to the diagonal at
+    # about 2.236e-16; the solve returns 9.415e-17, whose residuals (1.2e-32
+    # and 8.6e-32) pass the absolute check, and a check relative to z would
+    # pass them too: near the diagonal the z-equations are nearly singular
+    r, h0, h1 = 1e-30, 0.0, 1e-31
+    rep = solve_two_cycle(ModelParams(r=r, stocking=(h0, h1)))
+    with mp.workdps(60):
+        z0, z1 = mp_two_cycle_offsets(r, h0, h1, rep.z0, rep.z1)
+        assert _ulps_off(rep.z0, z0) <= 2.0 and _ulps_off(rep.z1, z1) <= 2.0
+
+
+def _reduced_z1(z0, r, h1):
+    # z1 = (z0 - h1) e^{z0 - r}, from the first cycle equation
+    s = math.log(z0 - h1) + z0 - r
+    return math.exp(s) if s < 690.0 else math.inf
+
+
+def _reduced_residual(z0, r, h0, h1, y_max):
+    # the scalar reduction F(z0) = z1 - h0 - z0 e^{r - z1} of the
+    # `solve_two_cycle` docstring at (z0, z1(z0)), for the references below;
+    # 1e18 where z1 overflows or leaves ten times the trapping bound
+    z1 = _reduced_z1(z0, r, h1)
+    if not math.isfinite(z1) or z1 > 10.0 * y_max:
+        return 1e18
+    return z1 - h0 - z0 * math.exp(r - z1)
 
 
 def _reduced_residual_grid(z0, r, h0, h1, y_max):
@@ -311,22 +343,23 @@ def _ulps_to_the_root(r, h0, h1, pair):
 
 @pytest.mark.parametrize("points", ["readme", "small r", "log-uniform"])
 def test_two_cycle_is_no_less_accurate_than_the_full_bisection(points):
-    # the offset solve succeeds wherever the full bisection does, and each
-    # pair lies within 2 ulps of the bisection's, or no farther from the
-    # 40-digit root than the bisection's, beyond 2 ulps; a pair the
-    # bisection cannot give lies within 2 ulps of that root
+    # the offset solve succeeds at every point, and each pair lies within
+    # 2 ulps of the bisection's, or no farther from the 40-digit root than
+    # the bisection's, beyond 2 ulps; a pair the bisection cannot give, as
+    # where z0 - h1 lies below the float resolution of h1, lies within
+    # 2 ulps of that root
     cases = {"readme": _readme_plane, "small r": lambda: SMALL_R_POINTS,
              "log-uniform": lambda: _log_uniform_points(4000, 19)}[points]()
-    outcomes = set()
+    bisected = set()
     for r, h0, h1 in cases:
         solved, full = _solved_or_none(r, h0, h1), _full_bisection_two_cycle(r, h0, h1)
-        outcomes.add(solved is not None)
-        assert solved is not None or full is None, (r, h0, h1)
-        if solved is None or (full is not None and all(abs(s - f) <= 2 * math.ulp(f) for s, f in zip(solved, full))):
+        bisected.add(full is not None)
+        assert solved is not None, (r, h0, h1)
+        if full is not None and all(abs(s - f) <= 2 * math.ulp(f) for s, f in zip(solved, full)):
             continue
         off = _ulps_to_the_root(r, h0, h1, solved)
         assert off <= (2.0 if full is None else max(2.0, _ulps_to_the_root(r, h0, h1, full))), (r, h0, h1)
-    assert outcomes == ({True, False} if points == "log-uniform" else {True})
+    assert bisected == ({True, False} if points == "log-uniform" else {True})
 
 
 def _newton_steps(monkeypatch):
@@ -362,15 +395,13 @@ def test_two_cycle_solve_takes_at_most_6_offset_newton_steps_on_the_readme_plane
 
 def test_two_cycle_solve_at_large_r_takes_fewer_evaluations_than_the_full_bisection(monkeypatch):
     # above r = 10, the 2-cycle's offsets reach e^{2r}; the offset solve,
-    # its two end-sign checks and its finishing step included, still
-    # evaluates fewer functions than the full bisection of the reduced
-    # residual, which takes about 55
+    # its finishing step included, still evaluates fewer functions than the
+    # full bisection of the reduced residual, which takes about 55, at each
+    # point where that succeeds
     calls = []
-    residual, system = periodic._reduced_residual, periodic._offset_system
-    counted = lambda *a: calls.append(1) or residual(*a)
-    monkeypatch.setattr(periodic, "_reduced_residual", counted)
+    residual, system = _reduced_residual, periodic._offset_system
     monkeypatch.setattr(periodic, "_offset_system", lambda *a: calls.append(1) or system(*a))
-    monkeypatch.setitem(globals(), "_reduced_residual", counted)
+    monkeypatch.setitem(globals(), "_reduced_residual", lambda *a: calls.append(1) or residual(*a))
     pairs = []
     for r, h0, h1 in _log_uniform_points(4000, 19):
         if r <= 10.0:
@@ -380,11 +411,11 @@ def test_two_cycle_solve_at_large_r_takes_fewer_evaluations_than_the_full_bisect
             continue
         solved = len(calls)
         calls.clear()
-        _full_bisection_two_cycle(r, h0, h1)
-        pairs.append((solved, len(calls)))
+        if _full_bisection_two_cycle(r, h0, h1) is not None:
+            pairs.append((solved, len(calls)))
     assert len(pairs) > 600
     assert all(solved < full for solved, full in pairs)
-    assert np.median([solved for solved, _ in pairs]) <= 14
+    assert np.median([solved for solved, _ in pairs]) <= 12
 
 
 _STOCKING = st.just(0.0) | st.floats(math.log(1e-7), math.log(1e3)).map(math.exp)
@@ -394,7 +425,8 @@ _STOCKING = st.just(0.0) | st.floats(math.log(1e-7), math.log(1e3)).map(math.exp
 @given(r=st.floats(math.log(1e-3), math.log(354.0)).map(math.exp), h0=_STOCKING, h1=_STOCKING)
 def test_two_cycle_solve_returns_a_checked_pair_or_a_typed_error(r, h0, h1):
     # only the solve's own typed errors escape, never a float exception of
-    # the offsets' exp, log or division; a returned pair passes the checks
+    # the offsets' exp, log or division; a returned pair passes the checks,
+    # its offsets positive, so that z0 and z1 lie at or above h1 and h0
     assume(h0 != h1)
     try:
         rep = solve_two_cycle(ModelParams(r=r, stocking=(h0, h1)))
@@ -402,7 +434,7 @@ def test_two_cycle_solve_returns_a_checked_pair_or_a_typed_error(r, h0, h1):
         return
     z0, z1 = rep.z0, rep.z1
     assert max(abs(q) for q in _cycle_residuals(z0, z1, r, h0, h1)) < 1e-10
-    assert z0 > h1 and z1 > h0
+    assert z0 >= h1 and z1 >= h0 and rep.det > 0.0
     assert not ((h0 - h1) * (z1 - z0) < 0.0 and abs(z1 - z0) > math.ulp(max(z0, z1)))
 
 
